@@ -60,20 +60,24 @@ def _render_table(data, indent: str = "") -> str:
     return "\n".join(line for line in lines if line)
 
 
+def _write(text: str, output) -> None:
+    """Print to stdout, or write to --output (relative to COCONVEX_OUTPUT_DIR)."""
+    if not output:
+        print(text)
+        return
+    default_dir = os.environ.get("COCONVEX_OUTPUT_DIR")
+    if default_dir and not os.path.isabs(output):
+        output = os.path.join(default_dir, output)
+    with open(output, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
         text = _render_table(payload)
-    out_path = args.output
-    if out_path:
-        default_dir = os.environ.get("COCONVEX_OUTPUT_DIR")
-        if default_dir and not os.path.isabs(out_path):
-            out_path = os.path.join(default_dir, out_path)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text, args.output)
 
 
 def _vertices_list(poly: RationalPolytope):
@@ -179,28 +183,23 @@ def _cmd_verify(args) -> int:
                         exponent_bound=args.exponent_bound)
     report = SUITES[args.suite](spec, args.count)
     if args.format == "json":
-        text = report.canonical_bytes().decode()
-        payload = None
+        _write(report.canonical_bytes().decode(), args.output)
     else:
-        payload = report.to_json()
-        text = None
-    out = argparse.Namespace(format=args.format, output=args.output)
-    if text is not None:
-        if args.output:
-            default_dir = os.environ.get("COCONVEX_OUTPUT_DIR")
-            path = args.output
-            if default_dir and not os.path.isabs(path):
-                path = os.path.join(default_dir, path)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-    else:
-        _emit(payload, out)
+        _emit(report.to_json(), args)
     print(f"suite={report.suite} count={report.count} "
           f"violations={len(report.violations)} "
           f"elapsed_ms={report.elapsed_ms:.1f}", file=sys.stderr)
     return 0 if report.passed else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multiplicity", help="Samuel multiplicity of an ideal")
     common(p)
-    p.add_argument("--kmax", type=int, default=6,
+    p.add_argument("--kmax", type=_positive_int, default=6,
                    help="depth of the certified report for polynomial ideals")
     p.set_defaults(func=_cmd_multiplicity)
 
@@ -236,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert-samuel", help="H(k) = dim R/a^k")
     common(p)
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_hilbert_samuel)
 
     p = sub.add_parser("initial-ideal", help="staircase of in(a^k)")
     common(p)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_initial_ideal)
 
     p = sub.add_parser("lech", help="e(a) <= e(in(a)) <= n! dim(R/a)")
@@ -255,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a seeded verification suite")
     common(p, needs_input=False)
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--exponent-bound", type=int, default=6)
+    p.add_argument("--dim", type=_positive_int, default=2)
+    p.add_argument("--exponent-bound", type=_positive_int, default=6)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -64,6 +64,12 @@ def _parse_matrix(data, what: str, integral: bool = False):
     return [parse(row, what) for row in data]
 
 
+def _parse_dim(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputFormatError("dim must be a positive integer")
+    return value
+
+
 def _cone_from(data, dim_hint=None):
     rays = data.get("cone_rays")
     if rays is None:
@@ -125,6 +131,10 @@ def monomial_ideal_from_json(data: dict) -> MonomialIdealLocal:
     if not isinstance(data, dict) or "generators" not in data:
         raise InputFormatError("monomial ideal needs generators")
     gens = _parse_matrix(data["generators"], "generators", integral=True)
+    if "dim" in data:
+        n = _parse_dim(data["dim"])
+        if any(len(g) != n for g in gens):
+            raise InputFormatError(f"generators must have dim = {n} entries")
     cone = _cone_from(data, dim_hint=len(gens[0]))
     return monomial_ideal(gens, cone=cone)
 
@@ -165,9 +175,7 @@ def poly_ideal_from_json(data: dict) -> PolyLocalIdeal:
     for key in ("dim", "generators"):
         if key not in data:
             raise InputFormatError(f"polynomial ideal is missing {key!r}")
-    n = data["dim"]
-    if not isinstance(n, int) or n < 1:
-        raise InputFormatError("dim must be a positive integer")
+    n = _parse_dim(data["dim"])
     order = None
     if "order" in data:
         odata = data["order"]

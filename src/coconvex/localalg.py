@@ -382,6 +382,8 @@ def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
     Above D0 = k * m0 * max(ell) every exponent has total degree >= k*m0,
     so the corresponding monomial already lies in a^k.
     """
+    if k < 1:
+        raise ValueError("power must be >= 1")
     if isinstance(a, MonomialIdealLocal):
         return ideal_power(a.staircase, k) if k > 1 else a.staircase
     pivots, d0 = _initial_pivots(a, k)

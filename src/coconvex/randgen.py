@@ -72,8 +72,10 @@ def random_monomial_ideal(spec: InstanceSpec,
     if rng is None:
         rng = XorShift64Star(spec.seed)
     n = spec.dimension
-    cone = spec.cone()
     bound = spec.exponent_bound
+    if n < 1 or bound < 1:
+        raise ValueError("dimension and exponent bound must be >= 1")
+    cone = spec.cone()
     gens = []
     for ray in cone.rays:
         power = rng.randint(1, bound)

@@ -1,18 +1,23 @@
 """Lattice semigroups S = cone & Z^n, staircase ideals, and their counting.
 
-A semigroup ideal is stored by its antichain of minimal generators; the
-Hilbert-Samuel function counts the finite complement S \\ I_k.  Counting
-walks the integer level sets of the positivity functional upward and stops
-once a full window of levels is clean, which certifies (by peeling Hilbert
-basis elements) that everything above lies in the ideal.  Orthant
-staircases additionally get a fast slice recursion used by the large
-random suites.
+A semigroup ideal is stored by its antichain of minimal generators.  Every
+antichain (generators, sums and powers of ideals, orthant slices, the
+Hilbert basis) comes from one prune: candidates are ordered by the sum of
+their facet values, a level strictly positive on the cone minus the
+origin, so each candidate is compared only with the lower points already
+kept.  The Hilbert-Samuel function counts the finite complement
+S \\ I_k.  Counting walks the integer level sets of the positivity
+functional upward and stops once a full window of levels is clean, which
+certifies (by peeling Hilbert basis elements) that everything above lies
+in the ideal.  Orthant staircases additionally get a fast slice recursion
+used by the large random suites.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,14 +70,22 @@ class SemigroupIdealSet:
         return self.min_generators == (tuple(0 for _ in range(self.semigroup.dim)),)
 
 
-def _prune_to_antichain(cone: RationalCone, points):
-    pts = sorted(set(points))
-    kept = []
-    for p in pts:
-        if any(q != p and cone.contains(vec_sub(p, q)) for q in pts):
-            continue
-        kept.append(p)
-    return tuple(kept)
+def _prune_to_antichain(cone: RationalCone, points) -> tuple:
+    """Minimal elements of `points` under q <= p iff p - q lies in the cone.
+
+    Each point is mapped once to its facet values F p; p - q is in the cone
+    exactly when F p >= F q componentwise.  The level sum(F p) is strictly
+    positive on the cone minus the origin, so every point below p comes
+    strictly earlier in level order and p is tested only against the
+    points already kept.  Returned lexicographically sorted.
+    """
+    values = {p: tuple(dot(f, p) for f in cone.facets) for p in set(points)}
+    kept = {}
+    for p in sorted(values, key=lambda p: sum(values[p])):
+        v = values[p]
+        if not any(all(map(operator.ge, v, w)) for w in kept.values()):
+            kept[p] = v
+    return tuple(sorted(kept))
 
 
 def semigroup_ideal(semigroup: LatticeSemigroup, generators) -> SemigroupIdealSet:
@@ -120,8 +133,8 @@ def hilbert_basis(cone: RationalCone) -> tuple:
 
     The cone is split into simplicial subcones through a triangulated
     cross-section; candidates are the lattice points of each fundamental
-    parallelepiped plus the primitive rays, then reducible elements are
-    removed.
+    parallelepiped plus the primitive rays; the irreducible ones are the
+    minimal nonzero candidates.
     """
     n = cone.dim
     if len(cone.rays) == n:
@@ -149,19 +162,7 @@ def hilbert_basis(cone: RationalCone) -> tuple:
                 continue
             if all(0 <= l <= 1 for l in lam):
                 candidates.add(p)
-    basis = []
-    for h in sorted(candidates):
-        reducible = False
-        for c in candidates:
-            if c == h:
-                continue
-            diff = vec_sub(h, c)
-            if any(x != 0 for x in diff) and cone.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(h)
-    return tuple(basis)
+    return _prune_to_antichain(cone, candidates)
 
 
 def _is_standard_orthant(cone: RationalCone) -> bool:
@@ -271,9 +272,11 @@ def _orthant_colength(gens: frozenset, n: int) -> int:
         raise NotPrimary("empty staircase")
     if cuts[0] != 0:
         cuts = [0] + cuts
+    slice_cone = orthant(n - 1)
     total = 0
     for j, v in enumerate(cuts):
-        active = frozenset(_prune_orthant({g[:-1] for g in gens if g[-1] <= v}))
+        active = frozenset(_prune_to_antichain(
+            slice_cone, [g[:-1] for g in gens if g[-1] <= v]))
         if j + 1 < len(cuts):
             if not active:
                 raise NotPrimary("missing pure power along an axis")
@@ -282,16 +285,6 @@ def _orthant_colength(gens: frozenset, n: int) -> int:
             if _orthant_colength(active, n - 1) != 0:
                 raise NotPrimary("missing pure power along an axis")
     return total
-
-
-def _prune_orthant(points):
-    pts = sorted(points)
-    kept = []
-    for p in pts:
-        if any(q != p and all(a >= b for a, b in zip(p, q)) for q in pts):
-            continue
-        kept.append(p)
-    return kept
 
 
 def complement_count(ideal: SemigroupIdealSet) -> int:

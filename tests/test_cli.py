@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coconvex.cli import main
 
 
@@ -25,6 +27,13 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_rejected(capsys, argv):
+    """Exit code and stderr of a command line rejected while parsing."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
 
 
 def test_multiplicity_monomial(tmp_path, capsys):
@@ -170,3 +179,63 @@ def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     assert out == ""
     written = json.loads((outdir / "result.json").read_text())
     assert written == {"e": 4}
+    # verify writes the same bytes to --output as it prints to stdout
+    argv = ["verify", "--suite", "bm-covol", "--count", "2", "--seed", "5"]
+    monkeypatch.delenv("COCONVEX_OUTPUT_DIR")
+    code, expected, _ = run(capsys, argv)
+    assert code == 0
+    monkeypatch.setenv("COCONVEX_OUTPUT_DIR", str(outdir))
+    code, out, _ = run(capsys, argv + ["--output", "verify.json"])
+    assert code == 0
+    assert out == ""
+    assert (outdir / "verify.json").read_text() == expected
+
+
+def test_initial_ideal_k_zero_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "a.json", POLY_A)
+    code, err = run_rejected(capsys, ["initial-ideal", "--input", path,
+                                      "--k", "0"])
+    assert code == 2
+    assert "--k" in err and ">= 1" in err
+
+
+def test_verify_dim_zero_exit_2_without_running(capsys, monkeypatch):
+    import coconvex.cli as cli_mod
+
+    def never(spec, count):
+        raise AssertionError("the suite ran on an out-of-range --dim")
+
+    monkeypatch.setitem(cli_mod.SUITES, "bm-covol", never)
+    code, err = run_rejected(capsys, ["verify", "--suite", "bm-covol",
+                                      "--dim", "0"])
+    assert code == 2
+    assert "--dim" in err
+
+
+def test_verify_negative_count_exit_2(capsys):
+    code, err = run_rejected(capsys, ["verify", "--suite", "bm-covol",
+                                      "--count", "-1"])
+    assert code == 2
+    assert "--count" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert-samuel", "--input", "never-read.json", "--kmax", "0"],
+    ["verify", "--suite", "bm-covol", "--exponent-bound", "0"],
+], ids=["kmax", "exponent-bound"])
+def test_other_ranges_checked(capsys, argv):
+    code, err = run_rejected(capsys, argv)
+    assert code == 2
+    assert argv[-2] in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"dim": True, "generators": [[2, 0], [0, 3]]},
+    {"dim": 5, "generators": [[2, 0], [0, 3]]},
+])
+def test_monomial_dim_checked(tmp_path, capsys, payload):
+    path = write(tmp_path, "m.json", payload)
+    code, out, err = run(capsys, ["multiplicity", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "dim" in err

@@ -128,4 +128,10 @@ def test_bad_inputs_raise_format_errors():
     with pytest.raises(InputFormatError):
         poly_ideal_from_json({"dim": 0, "generators": []})
     with pytest.raises(InputFormatError):
+        poly_ideal_from_json({"dim": True, "generators": []})
+    with pytest.raises(InputFormatError):
+        monomial_ideal_from_json({"dim": True, "generators": [[2, 0], [0, 3]]})
+    with pytest.raises(InputFormatError):
+        monomial_ideal_from_json({"dim": 5, "generators": [[2, 0], [0, 3]]})
+    with pytest.raises(InputFormatError):
         poly_from_json({"terms": [{"coeff": "0", "exp": [1, 1]}]}, 2)

@@ -9,6 +9,7 @@ import pytest
 from coconvex.cones import dual_description, orthant
 from coconvex.errors import ConeMismatch, NotPrimary
 from coconvex.fitting import stabilized_leading
+from coconvex.linalg import vec_sub
 from coconvex.regions import covol, minkowski_sum
 from coconvex.semigroups import (complement_count, complement_points,
                                  explicit_sequence, gamma_region, hilbert_basis,
@@ -24,9 +25,35 @@ from coconvex.semigroups import (complement_count, complement_points,
 S2 = lattice_semigroup(orthant(2))
 S3 = lattice_semigroup(orthant(3))
 
+ORACLE_CONES = [
+    orthant(2),
+    orthant(3),
+    dual_description([(1, 0), (1, 2)]),
+    dual_description([(1, 0), (1, 3)]),
+    dual_description([(-1, 2), (2, -1)]),
+    dual_description([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+]
+
 
 def ideal2(gens):
     return semigroup_ideal(S2, gens)
+
+
+def all_pairs_prune(cone, points):
+    """Reference antichain: drop p when p - q lies in the cone for some q."""
+    pts = sorted(set(points))
+    return tuple(p for p in pts
+                 if not any(q != p and cone.contains(vec_sub(p, q)) for q in pts))
+
+
+def random_cone_points(rng, cone, count):
+    """Nonzero lattice points of the cone drawn from the box [-6, 6]^n."""
+    out = []
+    while len(out) < count:
+        p = tuple(rng.randint(-6, 6) for _ in range(cone.dim))
+        if any(p) and cone.contains(p):
+            out.append(p)
+    return out
 
 
 def brute_force_power_gens(gens, k):
@@ -73,6 +100,34 @@ def test_ideal_power_matches_brute_force():
         for k in range(1, 5):
             assert ideal_power(ideal, k).min_generators == \
                 brute_force_power_gens(ideal.min_generators, k)
+    for _ in range(10):
+        gens = [(rng.randint(1, 4), 0, 0), (0, rng.randint(1, 4), 0),
+                (0, 0, rng.randint(1, 4))]
+        gens += [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(3)]
+        gens = [g for g in gens if any(g)]
+        ideal = semigroup_ideal(S3, gens)
+        for k in range(1, 4):
+            power = ideal_power(ideal, k)
+            assert power.min_generators == \
+                brute_force_power_gens(ideal.min_generators, k)
+            # the orthant slice recursion prunes every slice as well
+            assert complement_count(power) == \
+                len(brute_force_complement(power.min_generators))
+
+
+def test_prune_matches_all_pairs_oracle():
+    rng = random.Random(2024)
+    for cone in ORACLE_CONES:
+        sg = lattice_semigroup(cone)
+        for _ in range(40):
+            gens = random_cone_points(rng, cone, rng.randint(1, 12))
+            ideal = semigroup_ideal(sg, gens)
+            assert ideal.min_generators == all_pairs_prune(cone, gens)
+            for k in range(2, 4):
+                sums = {tuple(map(sum, zip(*combo))) for combo in
+                        itertools.combinations_with_replacement(gens, k)}
+                assert ideal_power(ideal, k).min_generators == \
+                    all_pairs_prune(cone, sums)
 
 
 def test_staircase_membership_consistent_with_sums():
