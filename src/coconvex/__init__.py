@@ -8,14 +8,15 @@ inequality families are verified with exact rational arithmetic.
 """
 
 from .cones import RationalCone, dual_description, is_positive_on_cone, orthant
-from .errors import (CapExceeded, CoconvexError, ConeMismatch,
-                     DegeneratePolytope, InputFormatError,
+from .errors import (CoconvexError, ConeMismatch, DegeneratePolytope,
+                     InputFormatError, InvariantViolation,
                      MonotonicityViolation, NonpositiveScalar, NotCobounded,
                      NotFullDimensional, NotPrimary, NotPrimaryWithinCap,
-                     NotStronglyConvex, WrongArity, ZeroPolynomial)
+                     NotStronglyConvex, SingularSystem, WrongArity,
+                     ZeroPolynomial)
 from .localalg import (BernsteinKushnirenkoReport, GoodValuationCertificate,
-                       GradedSubspaceSequence, LechChain, MonomialIdealLocal,
-                       MultiplicityReport, Poly, PolyLocalIdeal, TermOrder,
+                       LechChain, MonomialIdealLocal, MultiplicityReport,
+                       Poly, PolyLocalIdeal, TermOrder,
                        bk_report, colength, good_valuation_certificate,
                        hilbert_samuel, initial_semigroup_ideal, lech_chain,
                        mixed_multiplicity, monomial, monomial_ideal,
@@ -23,9 +24,8 @@ from .localalg import (BernsteinKushnirenkoReport, GoodValuationCertificate,
                        poly_local_ideal, product_ideal, standard_order,
                        term_order, truncated_echelon, valuation)
 from .polytopes import RationalPolytope, hull_vertices, polytope_volume
-from .regions import (CoconvexBody, NewtonRegion, cobounded_threshold,
-                      coconvex_body, cone_region, covol, covol_at,
-                      minkowski_sum, mixed_covol, newton_diagram,
+from .regions import (CoconvexBody, NewtonRegion, coconvex_body, cone_region,
+                      covol, minkowski_sum, mixed_covol, newton_diagram,
                       newton_region, scale)
 from .semigroups import (LatticeSemigroup, OkounkovData, PrimaryGradedSequence,
                          SemigroupIdealSet, complement_count, complement_points,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotFullDimensional, NotStronglyConvex
+from .errors import InvariantViolation, NotFullDimensional, NotStronglyConvex
 from .linalg import dot, independent_subset, primitive, rank, solve
 from .lp import nonnegative_combination
 
@@ -145,7 +145,8 @@ def dual_description(rays) -> RationalCone:
         raise NotStronglyConvex("cone contains a line")
     canon = extreme_rays(facets, n)
     cone = RationalCone(dim=n, rays=tuple(canon), facets=tuple(sorted(facets)))
-    assert all(cone.contains(r) for r in rays)
+    if not all(cone.contains(r) for r in rays):
+        raise InvariantViolation("the facets cut off an input ray")
     return cone
 
 

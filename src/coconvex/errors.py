@@ -21,10 +21,6 @@ class NotCobounded(CoconvexError):
     """The complement of the region inside its cone is unbounded."""
 
 
-class CapExceeded(NotCobounded):
-    """Threshold doubling search exceeded the configured cap."""
-
-
 class ConeMismatch(CoconvexError):
     """Operands live over different cones or incompatible level functionals."""
 
@@ -51,6 +47,14 @@ class ZeroPolynomial(CoconvexError):
 
 class MonotonicityViolation(CoconvexError):
     """A certified non-increasing sequence increased; implementation bug."""
+
+
+class InvariantViolation(CoconvexError):
+    """A computed value breaks a certified invariant; implementation bug."""
+
+
+class SingularSystem(CoconvexError):
+    """The interpolation nodes do not determine a unique polynomial."""
 
 
 class InputFormatError(CoconvexError):

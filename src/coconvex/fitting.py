@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SingularSystem
 from .linalg import solve
 
 
 def fit_polynomial(ks, values):
-    """Coefficients (c_0, ..., c_d) of the unique poly through the points."""
+    """Coefficients (c_0, ..., c_d) of the unique poly through distinct nodes."""
     d = len(ks) - 1
     rows = [[Fraction(k) ** j for j in range(d + 1)] for k in ks]
     coeffs = solve(rows, [Fraction(v) for v in values])
-    assert coeffs is not None
+    if coeffs is None:
+        raise SingularSystem(f"nodes {list(ks)} do not determine a "
+                             f"polynomial of degree {d}")
     return coeffs
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, orthant
-from .errors import (MonotonicityViolation, NotPrimaryWithinCap,
-                     ZeroPolynomial)
+from .errors import (InvariantViolation, MonotonicityViolation,
+                     NotPrimaryWithinCap, ZeroPolynomial)
 from .linalg import dot, rank
 from .radicals import compare_root_sum
 from .regions import covol, mixed_covol
@@ -341,14 +342,6 @@ def poly_local_ideal(gens, order: TermOrder = None, cap: int = 24) -> PolyLocalI
     return PolyLocalIdeal(generators=gens, order=order, m0=m0)
 
 
-def poly_ideal_power(a: PolyLocalIdeal, k: int) -> PolyLocalIdeal:
-    """a^k with generator products and the inherited certificate k*m0."""
-    if k == 1:
-        return a
-    return PolyLocalIdeal(generators=tuple(_power_products(a, k)),
-                          order=a.order, m0=k * a.m0)
-
-
 @functools.lru_cache(maxsize=None)
 def _product_map(a: PolyLocalIdeal, k: int):
     """Multiset of generator indices -> product polynomial."""
@@ -397,12 +390,7 @@ def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
 
 def colength(a) -> int:
     """dim of R modulo the ideal: standard monomials below the staircase."""
-    if isinstance(a, MonomialIdealLocal):
-        return complement_count(a.staircase)
-    pivots, d0 = _initial_pivots(a, 1)
-    sg = lattice_semigroup(orthant(a.n), a.order.ell)
-    window = sum(1 for level in range(d0) for _ in iter_points_at_level(sg, level))
-    return window - len(pivots)
+    return colength_of_power(a, 1)
 
 
 def colength_of_power(a, k: int) -> int:
@@ -423,17 +411,16 @@ def hilbert_samuel(a, kmax: int):
     return [colength_of_power(a, k) for k in range(1, kmax + 1)]
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _integral(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise InvariantViolation(f"{what} {value} is not an integer")
+    return int(value)
 
 
 def _staircase_multiplicity(staircase: SemigroupIdealSet) -> int:
-    value = _factorial(staircase.semigroup.dim) * covol(staircase_region(staircase))
-    assert value.denominator == 1, "multiplicity must be integral"
-    return int(value)
+    value = covol(staircase_region(staircase))
+    return _integral(math.factorial(staircase.semigroup.dim) * value,
+                     "multiplicity")
 
 
 def multiplicity(a: MonomialIdealLocal) -> int:
@@ -481,7 +468,7 @@ def multiplicity_report(a: PolyLocalIdeal, kmax: int,
     hs = hilbert_samuel(a, kmax)
     fit = stabilized_leading(lambda k: colength_of_power(a, k), n,
                              max_k=fit_depth)
-    e_fit = _factorial(n) * fit[0] if fit else None
+    e_fit = math.factorial(n) * fit[0] if fit else None
     return MultiplicityReport(n=n, kmax=kmax, u_values=tuple(u_values),
                               hilbert_values=tuple(hs),
                               e_upper=u_values[-1], e_fit=e_fit,
@@ -493,9 +480,8 @@ def mixed_multiplicity(ideals) -> int:
     ideals = list(ideals)
     regions = [staircase_region(a.staircase) for a in ideals]
     n = ideals[0].n
-    value = _factorial(n) * mixed_covol(regions)
-    assert value.denominator == 1, "mixed multiplicity must be integral"
-    return int(value)
+    return _integral(math.factorial(n) * mixed_covol(regions),
+                     "mixed multiplicity")
 
 
 @dataclass(frozen=True)
@@ -533,12 +519,12 @@ class LechChain:
 def lech_chain(a, kmax: int = 4) -> LechChain:
     if isinstance(a, MonomialIdealLocal):
         e = multiplicity(a)
-        bound = _factorial(a.n) * colength(a)
+        bound = math.factorial(a.n) * colength(a)
         return LechChain(e_upper=Fraction(e), e_in=e, bound=bound,
                          holds=e <= bound)
     report = multiplicity_report(a, kmax)
     e_in = _staircase_multiplicity(initial_semigroup_ideal(a, 1))
-    bound = _factorial(a.n) * colength(a)
+    bound = math.factorial(a.n) * colength(a)
     e_upper = report.e_upper
     holds = e_upper <= e_in <= bound
     if report.e_fit is not None:
@@ -547,7 +533,7 @@ def lech_chain(a, kmax: int = 4) -> LechChain:
 
 
 # ---------------------------------------------------------------------------
-# Products and graded sequences of subspaces
+# Products
 # ---------------------------------------------------------------------------
 
 def product_ideal(a, b):
@@ -560,33 +546,6 @@ def product_ideal(a, b):
         gens = tuple(g * h for g in a.generators for h in b.generators)
         return PolyLocalIdeal(generators=gens, order=a.order, m0=a.m0 + b.m0)
     raise ValueError("product of mixed ideal kinds is not supported")
-
-
-@dataclass(frozen=True)
-class GradedSubspaceSequence:
-    """Graded sequence a_k of subspaces: powers or a product of powers."""
-
-    kind: str
-    base: object = None
-    factors: tuple = None
-
-    def ideal_at(self, k: int):
-        if self.kind == "powers":
-            if isinstance(self.base, MonomialIdealLocal):
-                return MonomialIdealLocal(staircase=ideal_power(self.base.staircase, k)) \
-                    if k > 1 else self.base
-            return poly_ideal_power(self.base, k)
-        a, b = self.factors
-        return product_ideal(a.ideal_at(k), b.ideal_at(k))
-
-
-def subspace_powers(a) -> GradedSubspaceSequence:
-    return GradedSubspaceSequence(kind="powers", base=a)
-
-
-def subspace_product(s1: GradedSubspaceSequence,
-                     s2: GradedSubspaceSequence) -> GradedSubspaceSequence:
-    return GradedSubspaceSequence(kind="product", factors=(s1, s2))
 
 
 def multiplicity_bm_check(a, b) -> tuple:

@@ -8,10 +8,11 @@ affine coordinates; their volume is zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneratePolytope
+from .errors import DegeneratePolytope, InvariantViolation
 from .cones import extreme_rays
 from .linalg import det, dot, independent_subset, nullspace, primitive, rank, solve, vec_sub
 
@@ -69,7 +70,9 @@ def _hull_full_dim(pts, n):
     vertices = []
     for g in gens:
         t = g[n]
-        assert t > 0, "hull of finitely many points cannot have recession"
+        if t <= 0:
+            raise InvariantViolation(
+                "hull of finitely many points cannot have recession")
         vertices.append(tuple(Fraction(x, t) for x in g[:n]))
     halfspaces = tuple(sorted((tuple(f[:n]), Fraction(-f[n])) for f in facets))
     return RationalPolytope(dim=n, affine_dim=n,
@@ -193,13 +196,9 @@ def polytope_volume(poly: RationalPolytope, degenerate_ok: bool = False) -> Frac
             return Fraction(0)
         raise DegeneratePolytope(
             f"polytope has affine dimension {poly.affine_dim} < {poly.dim}")
-    n = poly.dim
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
     total = Fraction(0)
     for simplex in triangulate(poly):
         base = simplex[0]
         mat = [vec_sub(v, base) for v in simplex[1:]]
         total += abs(det(mat))
-    return total / factorial
+    return total / math.factorial(poly.dim)

@@ -1,25 +1,25 @@
 """Cobounded convex regions inside a cone and their exact covolumes.
 
 A region is conv(generators) + cone; the complement inside the cone is the
-coconvex body whose volume is the covolume.  Coboundedness is certified by
-a level threshold: once the slice {level = T} of the cone lies in the
-region, star-shapedness of the complement about the origin puts the whole
-half-space {level >= T} inside as well.
+coconvex body whose volume is the covolume.  The region is cobounded
+exactly when every extreme ray of the cone carries a generator, and then
+the body is the union of the pyramids from the origin over the bounded
+facets of the region (its Newton diagram), so the covolume is a sum of
+simplex determinants over a triangulation of the diagram.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, extreme_rays, is_positive_on_cone
-from .errors import CapExceeded, ConeMismatch, NonpositiveScalar, WrongArity
-from .linalg import dot, primitive
-from .polytopes import hull_vertices, polytope_volume, vertices_from_halfspaces
-
-THRESHOLD_DOUBLING_CAP = 64  # threshold search stops at T0 * 2**64
+from .errors import ConeMismatch, NonpositiveScalar, NotCobounded, WrongArity
+from .linalg import det, dot, primitive, rank
+from .polytopes import hull_vertices, triangulate
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,13 @@ class CoconvexBody:
 def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     """Build conv(generators) + cone and certify coboundedness.
 
-    Raises NotCobounded (via CapExceeded) when some ray of the cone is
-    never dominated, and ValueError on malformed input.
+    The region is cobounded exactly when every extreme ray of the cone
+    carries a generator (the origin lies on every ray); otherwise the
+    points t * r of a bare ray r stay outside for every t, and
+    NotCobounded names that ray.  The threshold is the largest level of a
+    generator: at that level the slice of the cone lies beyond each ray's
+    generator, hence in the region.  Vertices are the generators at which
+    the tight facets have rank n.  Raises ValueError on malformed input.
     """
     gens = sorted({tuple(Fraction(x) for x in g) for g in generators})
     if not gens:
@@ -69,6 +74,12 @@ def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     for g in gens:
         if not cone.contains(g):
             raise ValueError(f"generator {g} lies outside the cone")
+    for r in cone.rays:
+        # The ray is cut out of the cone by the cone facets vanishing on it.
+        tight = [f for f in cone.facets if dot(f, r) == 0]
+        if not any(all(dot(f, g) == 0 for f in tight) for g in gens):
+            raise NotCobounded(f"no generator lies on the ray {r}, "
+                               "so the complement of the region is unbounded")
 
     homog = [primitive(g + (Fraction(1),)) for g in gens]
     homog += [r + (0,) for r in cone.rays]
@@ -77,74 +88,27 @@ def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     # of the region; drop it.
     facets = tuple(sorted((tuple(f[:n]), Fraction(-f[n])) for f in raw_facets
                           if any(x != 0 for x in f[:n])))
-
-    vertex_gens = extreme_rays([tuple(u) + (-c,) for u, c in facets]
-                               + [tuple(0 for _ in range(n)) + (1,)], n + 1)
-    vertices = []
-    for g in vertex_gens:
-        t = g[n]
-        if t == 0:
-            assert tuple(g[:n]) in cone.rays, "recession mismatch"
-            continue
-        vertices.append(tuple(Fraction(x, t) for x in g[:n]))
-
-    t0 = max(dot(ell, g) for g in gens)
-    threshold = _certify_threshold(cone, ell, facets, Fraction(t0))
-    return NewtonRegion(cone=cone, ell=ell, generators=tuple(sorted(vertices)),
+    vertices = tuple(g for g in gens
+                     if rank([u for u, c in facets if dot(u, g) == c]) == n)
+    threshold = Fraction(max(dot(ell, g) for g in gens))
+    return NewtonRegion(cone=cone, ell=ell, generators=vertices,
                         facets=facets, threshold=threshold)
-
-
-def _slice_inside(cone, ell, facets, t) -> bool:
-    # The slice {level = t} of the cone is conv{t r / ell(r)}; it lies in
-    # the region iff every facet holds at each scaled ray.
-    for u, c in facets:
-        for r in cone.rays:
-            if t * Fraction(dot(u, r), dot(ell, r)) < c:
-                return False
-    return True
-
-
-def _certify_threshold(cone, ell, facets, t0: Fraction) -> Fraction:
-    if _slice_inside(cone, ell, facets, t0):
-        return t0
-    t = t0 if t0 > 0 else Fraction(1)
-    for _ in range(THRESHOLD_DOUBLING_CAP + 1):
-        if _slice_inside(cone, ell, facets, t):
-            return t
-        t *= 2
-    raise CapExceeded(
-        "no finite threshold certifies coboundedness; "
-        "some ray of the cone is never dominated by the generators")
-
-
-def cobounded_threshold(region: NewtonRegion) -> Fraction:
-    """The certified level T with cone & {ell >= T} inside the region."""
-    return region.threshold
 
 
 @functools.lru_cache(maxsize=None)
 def covol(region: NewtonRegion) -> Fraction:
     """Exact volume of the coconvex body cone \\ region.
 
-    Computed as vol(cone & {ell <= T}) - vol(region & {ell <= T}) at the
-    certified threshold; the value is independent of T above it.
+    The body is the union of the pyramids from the origin over the bounded
+    facets of the region, so the covolume is the sum of |det(simplex)| / n!
+    over a triangulation of the Newton diagram.  In dimension 1 the
+    diagram is the single point (g,) and the covolume is g.
     """
-    return covol_at(region, region.threshold)
-
-
-def covol_at(region: NewtonRegion, t: Fraction) -> Fraction:
-    """Covolume evaluated with truncation level t >= the threshold."""
-    if t < region.threshold:
-        raise ValueError("truncation below the certified threshold")
-    cone, ell, n = region.cone, region.ell, region.dim
-    origin = tuple(Fraction(0) for _ in range(n))
-    cone_pts = [origin] + [tuple(t * Fraction(x, dot(ell, r)) for x in r)
-                           for r in cone.rays]
-    vol_cone = polytope_volume(hull_vertices(cone_pts), degenerate_ok=True)
-    cap = (tuple(-x for x in ell), -t)
-    verts = vertices_from_halfspaces(region.facets + (cap,), n)
-    vol_region = polytope_volume(hull_vertices(verts), degenerate_ok=True)
-    return vol_cone - vol_region
+    total = Fraction(0)
+    for face in newton_diagram(region):
+        simplices = triangulate(face) if face.affine_dim else [face.vertices]
+        total += sum(abs(det(simplex)) for simplex in simplices)
+    return total / math.factorial(region.dim)
 
 
 def coconvex_body(region: NewtonRegion) -> CoconvexBody:
@@ -211,7 +175,4 @@ def mixed_covol(regions) -> Fraction:
     for subset, reg in sums.items():
         sign = -1 if (n - len(subset)) % 2 else 1
         total += sign * covol(reg)
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
-    return total / factorial
+    return total / math.factorial(n)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -408,8 +409,9 @@ def hilbert_samuel_sequence(seq: PrimaryGradedSequence, kmax: int):
 class OkounkovData:
     """Region attached to a sequence plus the truncation bookkeeping.
 
-    `truncation_level` is the certified level T of the region: the slice
-    cone & {level <= T} carries the whole covolume computation.
+    `truncation_level` is the certified threshold T of the region: every
+    point of the cone at level >= T lies in the region, so the coconvex
+    body sits inside the slice cone & {level <= T}.
     """
 
     region: NewtonRegion
@@ -482,7 +484,4 @@ def mixed_multiplicity_semigroup(seqs) -> Fraction:
     for s in seqs[1:]:
         if s.semigroup != seqs[0].semigroup:
             raise ConeMismatch("sequences over different semigroups")
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
-    return factorial * mixed_covol([gamma_region(s) for s in seqs])
+    return math.factorial(n) * mixed_covol([gamma_region(s) for s in seqs])

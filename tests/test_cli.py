@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from coconvex import localalg
 from coconvex.cli import main
 
 
@@ -65,7 +67,7 @@ def test_covolume_not_cobounded_exit_2(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"generators": [[2, 0]], "ell": [1, 1]})
     code, _, err = run(capsys, ["covolume", "--input", path])
     assert code == 2
-    assert "CapExceeded" in err or "NotCobounded" in err or "cobounded" in err
+    assert "NotCobounded" in err
 
 
 def test_newton_command(tmp_path, capsys):
@@ -86,6 +88,20 @@ def test_mixed_and_bk(tmp_path, capsys):
     code, out, _ = run(capsys, ["bk", "--input", path])
     assert code == 0
     assert json.loads(out)["intersection_multiplicity"] == 2
+
+
+def test_integrality_guard_exit_2(tmp_path, capsys, monkeypatch):
+    # A fractional n! * covolume is an internal fault; it must still reach
+    # the user as exit 2, also under python -O.
+    monkeypatch.setattr(localalg, "covol", lambda region: Fraction(1, 7))
+    monkeypatch.setattr(localalg, "mixed_covol", lambda regions: Fraction(1, 7))
+    single = write(tmp_path, "m.json", M2)
+    pair = write(tmp_path, "pair.json", {"ideals": [M2, M2]})
+    for argv in (["multiplicity", "--input", single], ["mixed", "--input", pair]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "InvariantViolation" in err
+        assert "multiplicity 2/7 is not an integer" in err
 
 
 def test_hilbert_samuel_command(tmp_path, capsys):

@@ -14,10 +14,9 @@ from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                mprimary_exponent, multiplicity,
                                multiplicity_bm_check, multiplicity_report,
                                poly_local_ideal, product_ideal, standard_order,
-                               subspace_powers, subspace_product, term_order,
-                               truncated_echelon, valuation)
-from coconvex.semigroups import (complement_count, ideal_power, staircase_region,
-                                 sum_ideals)
+                               term_order, truncated_echelon, valuation)
+from coconvex.semigroups import (complement_count, ideal_power, power_sequence,
+                                 product_sequence, staircase_region, sum_ideals)
 from coconvex.regions import minkowski_sum
 
 ORD2 = standard_order(2)
@@ -296,16 +295,15 @@ def test_bm_multiplicity_monomial_pairs():
 
 
 def test_graded_subspace_sequence():
+    # The graded sequences a^k and a^k b^k, built from ideal powers and
+    # products of ideals.
     a = monomial_ideal([(1, 0), (0, 1)])
     b = monomial_ideal([(2, 0), (0, 2)])
-    powers = subspace_powers(a)
-    assert powers.ideal_at(2).staircase.min_generators == ((0, 2), (1, 1), (2, 0))
-    prod = subspace_product(subspace_powers(a), subspace_powers(b))
-    assert prod.ideal_at(1).staircase.min_generators == \
-        product_ideal(a, b).staircase.min_generators
+    assert ideal_power(a.staircase, 2).min_generators == ((0, 2), (1, 1), (2, 0))
+    prod = product_sequence(power_sequence(a.staircase), power_sequence(b.staircase))
+    assert prod.term(1) == product_ideal(a, b).staircase
     ap = poly_local_ideal([X + Y2, Y3])
-    poly_powers = subspace_powers(ap)
-    sq = poly_powers.ideal_at(2)
+    sq = product_ideal(ap, ap)
     assert sq.m0 == 2 * ap.m0
     assert colength_of_power(ap, 2) == colength(sq)
 

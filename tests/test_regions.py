@@ -9,10 +9,13 @@ from coconvex.cones import dual_description, orthant
 from coconvex.errors import (ConeMismatch, NonpositiveScalar, NotCobounded,
                              WrongArity)
 from coconvex.fitting import fit_homogeneous_pair
+from coconvex.linalg import dot
+from coconvex.polytopes import (hull_vertices, polytope_volume,
+                                vertices_from_halfspaces)
 from coconvex.radicals import compare_root_sum
-from coconvex.regions import (cobounded_threshold, coconvex_body, cone_region,
-                              covol, covol_at, minkowski_sum, mixed_covol,
-                              newton_diagram, newton_region, scale)
+from coconvex.regions import (coconvex_body, cone_region, covol,
+                              minkowski_sum, mixed_covol, newton_diagram,
+                              newton_region, scale)
 
 from test_polytopes import shoelace
 
@@ -20,6 +23,27 @@ O2 = orthant(2)
 O3 = orthant(3)
 ELL2 = (1, 1)
 ELL3 = (1, 1, 1)
+SKEW = dual_description([(1, 0), (1, 2)])
+WIDE = dual_description([(-1, 2), (2, -1)])
+FOUR_RAY = dual_description([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+
+
+def covol_at(region, t):
+    """Reference covolume vol(cone & {ell <= t}) - vol(region & {ell <= t}).
+
+    Valid for any t at or above the region's threshold; an independent
+    path from the pyramid sum over the Newton diagram.
+    """
+    assert t >= region.threshold
+    cone, ell, n = region.cone, region.ell, region.dim
+    origin = tuple(Fraction(0) for _ in range(n))
+    cone_pts = [origin] + [tuple(t * Fraction(x, dot(ell, r)) for x in r)
+                           for r in cone.rays]
+    vol_cone = polytope_volume(hull_vertices(cone_pts), degenerate_ok=True)
+    cap = (tuple(-x for x in ell), -t)
+    verts = vertices_from_halfspaces(region.facets + (cap,), n)
+    vol_region = polytope_volume(hull_vertices(verts), degenerate_ok=True)
+    return vol_cone - vol_region
 
 
 def region2(gens):
@@ -34,28 +58,51 @@ def random_region(rng, n=2, bound=6, extra=3):
     return newton_region(orthant(n), gens, (1,) * n)
 
 
+def random_cone_region(rng, cone, ell, bound=4, extra=2):
+    """A generator on every ray of the cone plus nonnegative combinations."""
+    gens = []
+    for r in cone.rays:
+        lam = rng.randint(1, bound)
+        gens.append(tuple(lam * x for x in r))
+    for _ in range(extra):
+        coeffs = [rng.randint(0, bound) for _ in cone.rays]
+        gens.append(tuple(sum(c * r[i] for c, r in zip(coeffs, cone.rays))
+                          for i in range(cone.dim)))
+    return newton_region(cone, [g for g in gens if any(g)], ell)
+
+
 def test_region_of_origin_is_cone():
     region = cone_region(O2, ELL2)
     assert covol(region) == 0
-    assert cobounded_threshold(region) == 0
+    assert region.threshold == 0
 
 
 def test_unit_staircase_facets():
     region = region2([(1, 0), (0, 1)])
     assert set(region.facets) == {((1, 0), Fraction(0)), ((0, 1), Fraction(0)),
                                   ((1, 1), Fraction(1))}
-    assert cobounded_threshold(region) == 1
+    assert region.threshold == 1
 
 
 def test_not_cobounded():
     with pytest.raises(NotCobounded):
         region2([(2, 0)])
+    # (1, 1) lies inside the skew cone but on neither ray, so the ray
+    # (1, 2) carries no generator.
+    with pytest.raises(NotCobounded, match=r"\(1, 2\)"):
+        newton_region(SKEW, [(2, 0), (1, 1)], (1, 1))
+    # (0, 1, 1) lies on a 2-face through the ray (0, 0, 1), not on the ray.
+    with pytest.raises(NotCobounded, match=r"\(0, 0, 1\)"):
+        newton_region(O3, [(1, 0, 0), (0, 1, 0), (0, 1, 1)], ELL3)
 
 
 def test_threshold_examples():
-    assert cobounded_threshold(region2([(1, 0), (0, 1)])) == 1
+    assert region2([(1, 0), (0, 1)]).threshold == 1
     region = region2([(3, 0), (1, 1), (0, 2)])
-    assert cobounded_threshold(region) <= 6
+    assert region.threshold <= 6
+    # The threshold is the largest generator level, non-vertices included;
+    # the covolume command reports it.
+    assert region2([(1, 0), (0, 1), (5, 5)]).threshold == 10
 
 
 def test_covol_values():
@@ -84,10 +131,13 @@ def test_covol_matches_triangle_count_growth():
 
 def test_covol_threshold_independence_random():
     rng = random.Random(91)
-    for _ in range(200):
-        region = random_region(rng, n=rng.choice([2, 3]), bound=5, extra=2)
-        t = cobounded_threshold(region)
-        assert covol_at(region, 2 * t if t > 0 else 1) == covol(region)
+    regions = [random_region(rng, n=rng.choice([1, 2, 3]), bound=5, extra=2)
+               for _ in range(200)]
+    for cone, ell in ((SKEW, ELL2), (WIDE, ELL2), (FOUR_RAY, ELL3)):
+        regions += [random_cone_region(rng, cone, ell) for _ in range(20)]
+    for region in regions:
+        t = region.threshold
+        assert covol(region) == covol_at(region, t) == covol_at(region, 2 * t)
 
 
 def test_minkowski_identity_element():

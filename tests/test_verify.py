@@ -101,6 +101,21 @@ def test_suites_three_dimensional_smoke():
     assert suite_lech(spec, 3).passed
 
 
+def test_lech_report_matches_its_dimension():
+    # The fixed polynomial corpus has 2 variables; it only joins 2-D reports.
+    report = suite_lech(InstanceSpec(dimension=3, seed=2), 1)
+    assert report.dimension == 3 and report.instances
+    for inst in report.instances:
+        if inst["kind"] == "monomial":
+            exps = inst["gens"]
+        else:
+            exps = [e for g in inst["generators"] for e, _ in g]
+        assert all(len(e) == 3 for e in exps)
+    report = suite_lech(InstanceSpec(dimension=2, seed=2), 1)
+    kinds = [inst["kind"] for inst in report.instances]
+    assert kinds == ["monomial"] + ["polynomial"] * 4
+
+
 def test_polynomiality_suite_structure():
     spec = InstanceSpec(dimension=2, seed=77)
     report = suite_polynomiality(spec, 2)
