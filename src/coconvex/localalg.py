@@ -6,8 +6,11 @@ order; the lowest-term valuation sends f to its order-minimal exponent.
 Initial ideals of powers a^k are read off from a truncated Macaulay-style
 echelon of generator products: truncating every product whose lowest term
 sits at level >= D only disturbs f above D, so pivots below D are exactly
-the valuation values there.  Everything upstream (colength, multiplicity,
-Lech chain) reduces to staircase counting and covolume.
+the valuation values there.  The echelon is fraction-free: generators are
+scaled once to integer coefficients (same pivots), their products are
+taken over the integers, and rows are cross-multiplied.  Everything
+upstream (colength, multiplicity, Lech chain) reduces to staircase
+counting and covolume.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, orthant
 from .errors import (InvariantViolation, MonotonicityViolation,
                      NotPrimaryWithinCap, ZeroPolynomial)
-from .linalg import dot, rank
+from .linalg import dot, rank, scale_to_int
 from .radicals import compare_root_sum
 from .regions import covol, mixed_covol
 from .semigroups import (LatticeSemigroup, SemigroupIdealSet, complement_count,
@@ -79,6 +83,12 @@ class Poly:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial")
         return min(sum(e) for e, _ in self.terms)
+
+
+def _clear_denominators(g: Poly) -> Poly:
+    """Nonzero g times the lcm of its denominators: integer coefficients."""
+    exps, coeffs = zip(*g.terms)
+    return Poly(n=g.n, terms=tuple(zip(exps, scale_to_int(coeffs))))
 
 
 def monomial(n: int, exp, coeff=1) -> Poly:
@@ -171,11 +181,14 @@ def _points_below(weights, bound: int):
 
 
 class _Echelon:
-    """Sparse Gaussian elimination with order-minimal pivots.
+    """Fraction-free sparse elimination with order-minimal pivots.
 
-    Reduction tracks the candidate minimal exponents in a lazy-deletion
-    heap so each step costs the fill-in it causes, not a rescan of the
-    whole row.
+    Rows map exponents to integers.  A row is divided by its content when it
+    becomes a pivot row, so pivot rows are primitive with a positive pivot
+    coefficient.  Reducing r by the pivot row p at e sets r to
+    (p[e]/g) r - (r[e]/g) p with g = gcd(r[e], p[e]), so e cancels exactly.
+    Reduction tracks the candidate minimal exponents in a lazy-deletion heap
+    so each step costs the fill-in it causes, not a rescan of the whole row.
     """
 
     def __init__(self, order: TermOrder):
@@ -200,21 +213,42 @@ class _Echelon:
             prow = self.pivots.get(e)
             if prow is None:
                 if insert:
-                    c = row[e]
-                    self.pivots[e] = {k: v / c for k, v in row.items()}
+                    content = math.gcd(*row.values())
+                    if row[e] < 0:
+                        content = -content
+                    self.pivots[e] = {k: v // content for k, v in row.items()}
                 return e
-            c = row[e]
+            g = math.gcd(row[e], prow[e])
+            scale, c = prow[e] // g, row[e] // g
+            if scale != 1:
+                for k in row:
+                    row[k] *= scale
             for k, v in prow.items():
                 old = row.get(k)
-                new = (old if old is not None else Fraction(0)) - c * v
-                if new == 0:
-                    if old is not None:
-                        del row[k]
+                if old is None:
+                    heapq.heappush(heap, (self._key(k), k))
+                    row[k] = -c * v
                 else:
-                    if old is None:
-                        heapq.heappush(heap, (self._key(k), k))
-                    row[k] = new
+                    new = old - c * v
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
         return None
+
+
+def _insert_shifts(ech: _Echelon, gens, weights, bound: int) -> None:
+    """Insert each x^alpha * g whose lowest term has weight < bound, cut there.
+
+    A shifted term weighs the term's weight plus the weight of alpha.
+    """
+    for g in gens:
+        terms = [(e, c, dot(weights, e)) for e, c in g.terms]
+        base = min(w for _, _, w in terms)
+        for alpha in sorted(_points_below(weights, bound - base)):
+            room = bound - dot(weights, alpha)
+            ech.reduce({tuple(map(operator.add, e, alpha)): c
+                        for e, c, w in terms if w < room}, insert=True)
 
 
 def truncated_echelon(gens, order: TermOrder, bound: int) -> frozenset:
@@ -226,19 +260,8 @@ def truncated_echelon(gens, order: TermOrder, bound: int) -> frozenset:
     level appears.
     """
     ech = _Echelon(order)
-    for g in gens:
-        if g.is_zero:
-            continue
-        base = order.level(valuation(g, order))
-        if base >= bound:
-            continue
-        for alpha in sorted(_points_below(order.ell, bound - base)):
-            row = {}
-            for e, c in g.terms:
-                shifted = tuple(a + b for a, b in zip(e, alpha))
-                if order.level(shifted) < bound:
-                    row[shifted] = c
-            ech.reduce(row, insert=True)
+    gens = [_clear_denominators(g) for g in gens if not g.is_zero]
+    _insert_shifts(ech, gens, order.ell, bound)
     return frozenset(ech.pivots)
 
 
@@ -305,23 +328,14 @@ def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
         if any(e == zero for e, _ in g.terms):
             raise ValueError("generator has a constant term, not in m")
     degree_order = standard_order(n)
+    gens = [_clear_denominators(g) for g in gens]
     for d in range(1, cap + 1):
         ech = _Echelon(order)
-        for g in gens:
-            base = g.min_total_degree()
-            if base > d:
-                continue
-            for alpha in sorted(_points_below((1,) * n, d - base + 1)):
-                row = {}
-                for e, c in g.terms:
-                    shifted = tuple(a + b for a, b in zip(e, alpha))
-                    if sum(shifted) <= d:
-                        row[shifted] = c
-                ech.reduce(row, insert=True)
+        _insert_shifts(ech, gens, degree_order.ell, d + 1)
         ok = True
         for beta in iter_points_at_level(lattice_semigroup(orthant(n),
                                                            degree_order.ell), d):
-            if ech.reduce({beta: Fraction(1)}, insert=False) is not None:
+            if ech.reduce({beta: 1}, insert=False) is not None:
                 ok = False
                 break
         if ok:
@@ -344,14 +358,21 @@ def poly_local_ideal(gens, order: TermOrder = None, cap: int = 24) -> PolyLocalI
 
 @functools.lru_cache(maxsize=None)
 def _product_map(a: PolyLocalIdeal, k: int):
-    """Multiset of generator indices -> product polynomial."""
+    """Multiset of generator indices -> product of the integer generators."""
     if k == 1:
-        return {(i,): g for i, g in enumerate(a.generators)}
-    prev = _product_map(a, k - 1)
+        return {(i,): _clear_denominators(g)
+                for i, g in enumerate(a.generators)}
+    prev, gens = _product_map(a, k - 1), _product_map(a, 1)
     out = {}
     for combo, p in prev.items():
         for j in range(combo[-1], len(a.generators)):
-            out[combo + (j,)] = p * a.generators[j]
+            acc = {}
+            for e1, c1 in p.terms:
+                for e2, c2 in gens[(j,)].terms:
+                    e = tuple(map(operator.add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+            out[combo + (j,)] = Poly(n=a.n, terms=tuple(
+                sorted(t for t in acc.items() if t[1])))
     return out
 
 

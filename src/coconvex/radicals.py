@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantViolation
+
 
 def nth_root_floor(x: int, n: int) -> int:
     """Largest r with r**n <= x, for x >= 0, by integer Newton iteration."""
@@ -83,5 +85,5 @@ def compare_root_sum(a: Fraction, b: Fraction, c: Fraction, n: int) -> int:
             return -1
         prec *= 2
         if prec > 1 << 14:
-            raise RuntimeError("root comparison failed to separate; "
-                               "unexpected near-equality")
+            raise InvariantViolation("root comparison failed to separate; "
+                                     "unexpected near-equality")

@@ -1,5 +1,9 @@
 """Lowest-term valuations, truncated echelon, initial ideals, multiplicities."""
 
+import functools
+import heapq
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -17,6 +21,8 @@ from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                term_order, truncated_echelon, valuation)
 from coconvex.semigroups import (complement_count, ideal_power, power_sequence,
                                  product_sequence, staircase_region, sum_ideals)
+from coconvex.linalg import _echelon
+from coconvex.localalg import _initial_pivots, _points_below
 from coconvex.regions import minkowski_sum
 
 ORD2 = standard_order(2)
@@ -370,3 +376,195 @@ def test_weighted_order_initial_ideal():
     st_1 = initial_semigroup_ideal(a, 1)
     assert st_1.contains((0, 2))
     assert colength(a) == complement_count(st_1)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction echelon the integer kernel replaced
+# ---------------------------------------------------------------------------
+
+class FractionEchelon:
+    """Sparse Gaussian elimination over Fraction with monic pivot rows."""
+
+    def __init__(self, order):
+        self.order = order
+        self.pivots = {}
+
+    def reduce(self, row, insert):
+        heap = [(self.order.key(e), e) for e in row]
+        heapq.heapify(heap)
+        while heap:
+            _, e = heapq.heappop(heap)
+            if e not in row:
+                continue
+            prow = self.pivots.get(e)
+            if prow is None:
+                if insert:
+                    c = row[e]
+                    self.pivots[e] = {k: v / c for k, v in row.items()}
+                return e
+            c = row[e]
+            for k, v in prow.items():
+                old = row.get(k)
+                new = (old if old is not None else Fraction(0)) - c * v
+                if new == 0:
+                    if old is not None:
+                        del row[k]
+                else:
+                    if old is None:
+                        heapq.heappush(heap, (self.order.key(k), k))
+                    row[k] = new
+        return None
+
+
+def fraction_truncated_echelon(gens, order, bound):
+    ech = FractionEchelon(order)
+    for g in gens:
+        if g.is_zero:
+            continue
+        base = order.level(valuation(g, order))
+        if base >= bound:
+            continue
+        for alpha in sorted(_points_below(order.ell, bound - base)):
+            row = {}
+            for e, c in g.terms:
+                shifted = tuple(a + b for a, b in zip(e, alpha))
+                if order.level(shifted) < bound:
+                    row[shifted] = c
+            ech.reduce(row, insert=True)
+    return frozenset(ech.pivots)
+
+
+def fraction_mprimary_exponent(gens, order, cap):
+    n = order.n
+    for d in range(1, cap + 1):
+        ech = FractionEchelon(order)
+        for g in gens:
+            base = g.min_total_degree()
+            if base > d:
+                continue
+            for alpha in sorted(_points_below((1,) * n, d - base + 1)):
+                row = {}
+                for e, c in g.terms:
+                    shifted = tuple(a + b for a, b in zip(e, alpha))
+                    if sum(shifted) <= d:
+                        row[shifted] = c
+                ech.reduce(row, insert=True)
+        if all(ech.reduce({beta: Fraction(1)}, insert=False) is None
+               for beta in _points_below((1,) * n, d + 1) if sum(beta) == d):
+            return d
+    return None
+
+
+def dense_truncated_echelon(gens, order, bound):
+    """Pivots of a dense elimination over every monomial below `bound`."""
+    cols = sorted(_points_below(order.ell, bound), key=order.key)
+    index = {e: j for j, e in enumerate(cols)}
+    rows = []
+    for g in gens:
+        for alpha in _points_below(order.ell, bound):
+            row = [0] * len(cols)
+            for e, c in g.terms:
+                shifted = tuple(a + b for a, b in zip(e, alpha))
+                if shifted in index:
+                    row[index[shifted]] = c
+            rows.append(row)
+    return frozenset(cols[j] for j, _ in _echelon(rows))
+
+
+def same_level_poly(rng, n):
+    """2-4 terms, most at one level, leading coefficients other than +-1."""
+    level = rng.randint(1, 3)
+    terms = {}
+    for i in range(rng.randint(2, 4)):
+        top = level + (i == 3 or rng.random() < 0.25)
+        cut = sorted(rng.randint(0, top) for _ in range(n - 1))
+        exp = tuple(b - a for a, b in zip([0] + cut, cut + [top]))
+        num = rng.choice([-7, -5, -3, -2, 2, 3, 5, 7])
+        terms[exp] = Fraction(num, rng.randint(1, 4))
+    return Poly.from_dict(n, terms)
+
+
+def mprimary_or_none(gens, order, cap):
+    try:
+        return mprimary_exponent(gens, order, cap)
+    except NotPrimaryWithinCap:
+        return None
+
+
+WITNESS = [poly2({(0, 2): -2, (1, 1): 7, (2, 0): Fraction(-3, 2)}),
+           poly2({(0, 1): Fraction(2, 3), (1, 2): 2, (2, 1): Fraction(-5, 3)})]
+WITNESS_PIVOTS = frozenset({(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 0),
+                            (2, 1), (3, 0)})
+
+
+def test_integer_echelon_witness():
+    # Reducing without first scaling the row by p[e]/g leaves a stale
+    # pivot term behind; on these generators that changes the pivots.
+    pivots = truncated_echelon(WITNESS, ORD2, 4)
+    assert pivots == fraction_truncated_echelon(WITNESS, ORD2, 4)
+    assert pivots == WITNESS_PIVOTS
+
+
+def test_integer_echelon_matches_fraction_oracle():
+    rng = random.Random(83)
+    orders = {2: [ORD2, term_order((2, 3))], 3: [standard_order(3)]}
+    for draw in range(240):
+        n = 2 if draw % 3 else 3
+        order = rng.choice(orders[n])
+        gens = [same_level_poly(rng, n) for _ in range(rng.randint(2, 3))]
+        bound = rng.randint(3, 6 if n == 2 else 4) * max(order.ell)
+        assert truncated_echelon(gens, order, bound) == \
+            fraction_truncated_echelon(gens, order, bound), (gens, bound)
+        if draw % 4 == 0:
+            cap = 6 if n == 2 else 4
+            assert mprimary_or_none(gens, order, cap) == \
+                fraction_mprimary_exponent(gens, order, cap), gens
+
+
+def test_truncated_echelon_matches_dense_elimination():
+    rng = random.Random(89)
+    for draw in range(60):
+        n = 2 if draw % 3 else 3
+        order = term_order((1, 2)) if draw % 5 == 1 else standard_order(n)
+        gens = [same_level_poly(rng, n) for _ in range(rng.randint(1, 3))]
+        bound = rng.randint(2, 6 if n == 2 else 4)
+        assert truncated_echelon(gens, order, bound) == \
+            dense_truncated_echelon(gens, order, bound), (gens, bound)
+
+
+def mprimary_corpus(rng, count):
+    ideals = [[X + Y2, Y3], [X2 + Y3, monomial(2, (0, 4))],
+              [X2 + monomial(2, (1, 1), Fraction(1, 3)), Y3], WITNESS]
+    while len(ideals) < count:
+        gens = [same_level_poly(rng, 2) for _ in range(3)]
+        if mprimary_or_none(gens, ORD2, 6) is not None:
+            ideals.append(gens)
+    return ideals
+
+
+def test_power_pivots_match_fraction_products():
+    # in(a^k) from the integer generator products against the Fraction
+    # echelon of the Poly products
+    for gens in mprimary_corpus(random.Random(101), 10):
+        a = poly_local_ideal(gens)
+        for k in (2, 3):
+            products = [functools.reduce(operator.mul, combo) for combo in
+                        itertools.combinations_with_replacement(gens, k)]
+            pivots, d0 = _initial_pivots(a, k)
+            assert pivots == fraction_truncated_echelon(products, a.order, d0)
+
+
+def test_echelon_scale_invariance():
+    factor = Fraction(-7, 997)
+    rng = random.Random(97)
+    for gens in mprimary_corpus(rng, 12):
+        i = rng.randrange(len(gens))
+        scaled = list(gens)
+        scaled[i] = Poly.from_dict(2, {e: factor * c for e, c in gens[i].terms})
+        for bound in (3, 5):
+            assert truncated_echelon(scaled, ORD2, bound) == \
+                truncated_echelon(gens, ORD2, bound)
+        a, b = poly_local_ideal(gens), poly_local_ideal(scaled)
+        assert a.m0 == b.m0
+        assert colength_of_power(a, 2) == colength_of_power(b, 2)
+        assert colength(a) == colength(b)

@@ -3,6 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from coconvex import radicals
+from coconvex.cli import main
+from coconvex.errors import InvariantViolation
 from coconvex.radicals import compare_root_sum, nth_root_floor, rational_nth_root
 
 
@@ -69,3 +74,17 @@ def test_compare_matches_float_on_random_instances():
                       - float(c) ** (1 / n))
             if abs(approx) > 1e-9:
                 assert got == (1 if approx > 0 else -1)
+
+
+def test_failed_separation_raises_and_exits_2(monkeypatch, capsys):
+    # overlapping intervals at every precision: the comparison must give up
+    # with a package error, and the CLI must report it as exit 2
+    monkeypatch.setattr(radicals, "_root_bounds",
+                        lambda q, n, prec: (Fraction(0), Fraction(10)))
+    with pytest.raises(InvariantViolation):
+        compare_root_sum(Fraction(2), Fraction(3), Fraction(7), 2)
+    for suite in ("bm-covol", "bm-mult"):
+        code = main(["verify", "--suite", suite, "--count", "1", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "InvariantViolation" in err and "Traceback" not in err
