@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotFullDimensional, NotStronglyConvex
-from .linalg import dot, independent_subset, primitive, rank, solve
+from .linalg import dot, dual_basis, independent_subset, primitive, rank
 from .lp import nonnegative_combination
 
 
@@ -53,17 +53,11 @@ def extreme_rays(constraints, dim: int):
     order = base + [i for i in range(len(cons)) if i not in base]
     cons = [cons[i] for i in order]
 
-    bmat = cons[:dim]
-    rays = []
-    for j in range(dim):
-        rhs = [0] * dim
-        rhs[j] = 1
-        y = primitive(solve(bmat, rhs))
-        mask = 0
-        for i in range(dim):
-            if dot(cons[i], y) == 0:
-                mask |= 1 << i
-        rays.append((y, mask))
+    # The dual basis y_j of the first dim constraints: y_j is tight on
+    # every basis constraint except the j-th, where it is positive.
+    full = (1 << dim) - 1
+    rays = [(primitive(y), full & ~(1 << j))
+            for j, y in enumerate(dual_basis(cons[:dim]))]
 
     for idx in range(dim, len(cons)):
         a = cons[idx]

@@ -3,6 +3,14 @@
 Vectors are tuples of ``int`` or ``fractions.Fraction``; matrices are
 sequences of row tuples.  Everything here is pure and allocation-light;
 no floating point is used anywhere.
+
+There is one Gaussian elimination, :func:`_eliminate`, over ``Fraction``
+rows: it inserts the rows in order, reduces each by the pivot rows kept so
+far, and records each kept row's input index and pivot column.  `rank`,
+`independent_subset`, `det`, `solve`, `nullspace` and `dual_basis` only
+read its result; a right-hand side rides along as an extra column, and
+several right-hand sides are read off one kernel (A X = B is the kernel
+of [A | -B] over the identity), so each matrix is eliminated once.
 """
 
 from __future__ import annotations
@@ -47,131 +55,107 @@ def primitive(u) -> tuple:
     return tuple(a // g for a in w)
 
 
-def _echelon(rows):
-    """Row echelon form over Q (list of reduced nonzero Fraction rows)."""
-    work = [tuple(Fraction(a) for a in r) for r in rows]
-    basis = []  # list of (pivot_col, row)
-    for r in work:
-        for col, b in basis:
-            if r[col] != 0:
-                c = r[col] / b[col]
-                r = tuple(a - c * bb for a, bb in zip(r, b))
-        piv = next((j for j, a in enumerate(r) if a != 0), None)
-        if piv is not None:
-            basis.append((piv, r))
-    return basis
+def _eliminate(rows):
+    """The one elimination: insert rows in order, reducing each by the pivot
+    rows kept so far.
+
+    A row that does not reduce to zero is kept with its pivot column, its
+    first nonzero entry.  Returns (index, pivot column, reduced row)
+    triples in insertion order; each kept row is zero at the pivot columns
+    of the rows kept before it.  Once every column has a pivot no later
+    row can be kept, so the scan stops there.  Right-hand sides ride along
+    as extra columns.
+    """
+    kept = []
+    for i, r in enumerate(rows):
+        r = [Fraction(a) for a in r]
+        for _, col, p in kept:
+            if r[col]:
+                c = r[col] / p[col]
+                r = [a - c * b for a, b in zip(r, p)]
+        col = next((j for j, a in enumerate(r) if a), None)
+        if col is not None:
+            kept.append((i, col, r))
+            if len(kept) == len(r):
+                break
+    return kept
+
+
+def _back_substitute(kept, x):
+    """Complete x, given on the non-pivot columns and zero on the pivot
+    columns, to the kernel vector of the kept rows that agrees with it."""
+    for _, col, r in reversed(kept):
+        x[col] = -sum(a * b for a, b in zip(r, x)) / r[col]
+    return x
 
 
 def rank(rows) -> int:
-    return len(_echelon(rows))
+    return len(_eliminate(rows))
 
 
 def independent_subset(rows, size: int):
     """Indices of `size` linearly independent rows, or None if rank < size."""
-    basis = []
-    chosen = []
-    for i, r in enumerate(rows):
-        r = tuple(Fraction(a) for a in r)
-        for col, b in basis:
-            if r[col] != 0:
-                c = r[col] / b[col]
-                r = tuple(a - c * bb for a, bb in zip(r, b))
-        piv = next((j for j, a in enumerate(r) if a != 0), None)
-        if piv is not None:
-            basis.append((piv, r))
-            chosen.append(i)
-            if len(chosen) == size:
-                return chosen
-    return None
+    chosen = [i for i, _, _ in _eliminate(rows)]
+    return chosen[:size] if len(chosen) >= size else None
 
 
 def det(rows) -> Fraction:
-    """Determinant of a square matrix, by fraction-free-ish elimination."""
-    n = len(rows)
-    m = [list(Fraction(a) for a in r) for r in rows]
-    sign = 1
+    """Determinant of a square matrix: the product of the pivots times the
+    sign of the pivot-column permutation."""
+    kept = _eliminate(rows)
+    if len(kept) < len(rows):
+        return Fraction(0)
     result = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        result *= p
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                c = m[i][col] / p
-                for j in range(col, n):
-                    m[i][j] -= c * m[col][j]
-    return sign * result
+    cols = []
+    for _, col, r in kept:
+        result *= r[col]
+        if sum(c > col for c in cols) % 2:
+            result = -result
+        cols.append(col)
+    return result
 
 
 def solve(rows, rhs):
-    """Solve A x = b exactly.  Returns a Fraction tuple or None if singular
-    or inconsistent.  A must be square for the unique-solution case; for a
-    rectangular system the least-index consistent solution is returned with
-    free variables set to zero, or None if inconsistent."""
-    m = len(rows)
+    """Solve A x = b exactly.  Returns a Fraction tuple, with free variables
+    set to zero, or None if the system is inconsistent.
+
+    x solves A x = b exactly when (x, -1) lies in the kernel of [A | b]; the
+    system is inconsistent when a row that reduced to zero in A keeps a
+    nonzero right-hand side, i.e. when the last column holds a pivot.
+    """
     n = len(rows[0])
-    aug = [list(Fraction(a) for a in r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []  # (row, col)
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        p = aug[row][col]
-        aug[row] = [a / p for a in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
-    return tuple(x)
+    kept = _eliminate([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if any(col == n for _, col, _ in kept):
+        return None
+    x = [Fraction(0)] * n + [Fraction(-1)]
+    return tuple(_back_substitute(kept, x)[:n])
 
 
 def nullspace(rows):
-    """Basis of the right null space of A, as Fraction tuples."""
-    m = len(rows)
-    if m == 0:
+    """Basis of the right null space of A, as Fraction tuples: one
+    back-substitution per free column, ascending."""
+    if not rows:
         return []
     n = len(rows[0])
-    work = [list(Fraction(a) for a in r) for r in rows]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        p = work[row][col]
-        work[row] = [a / p for a in work[row]]
-        for i in range(m):
-            if i != row and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    kept = _eliminate(rows)
+    pivots = {col for _, col, _ in kept}
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -work[r][f]
-        basis.append(tuple(v))
+    for f in range(n):
+        if f not in pivots:
+            x = [Fraction(0)] * n
+            x[f] = Fraction(1)
+            basis.append(tuple(_back_substitute(kept, x)))
     return basis
+
+
+def dual_basis(rows):
+    """Vectors y_j with rows[i] . y_j = [i == j] for a nonsingular square
+    matrix (the columns of its inverse), read off one kernel of [A | -I].
+    """
+    n = len(rows)
+    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    kernel = nullspace([tuple(r) + tuple(-e for e in u) for r, u in zip(rows, eye)])
+    # The kernel is {(y, A y)}: its last n coordinates span only the range of A.
+    if [v[n:] for v in kernel] != eye:
+        raise ValueError("matrix is singular")
+    return [v[:n] for v in kernel]

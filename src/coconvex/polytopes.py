@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DegeneratePolytope, InvariantViolation
 from .cones import extreme_rays
-from .linalg import det, dot, independent_subset, nullspace, primitive, rank, solve, vec_sub
+from .linalg import det, dot, independent_subset, nullspace, primitive, rank, vec_sub
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,25 @@ def hull_vertices(points) -> RationalPolytope:
     return _hull_degenerate(pts, n, d, p0, diffs)
 
 
+def tight_vertices(points, halfspaces, n: int) -> tuple:
+    """The points at which the tight halfspaces have rank n.
+
+    For points lying in the polyhedron cut out by `halfspaces` (pairs
+    normal.x >= offset), these are exactly the points that are vertices.
+    """
+    return tuple(p for p in points
+                 if rank([u for u, c in halfspaces if dot(u, p) == c]) == n)
+
+
 def _hull_full_dim(pts, n):
     homog = [primitive(p + (Fraction(1),)) for p in pts]
     facets = [f for f in extreme_rays(homog, n + 1) if any(x != 0 for x in f[:n])]
-    gens = extreme_rays(facets + [tuple(0 for _ in range(n)) + (1,)], n + 1)
-    vertices = []
-    for g in gens:
-        t = g[n]
-        if t <= 0:
-            raise InvariantViolation(
-                "hull of finitely many points cannot have recession")
-        vertices.append(tuple(Fraction(x, t) for x in g[:n]))
     halfspaces = tuple(sorted((tuple(f[:n]), Fraction(-f[n])) for f in facets))
+    vertices = tight_vertices(pts, halfspaces, n)
+    if len(vertices) <= n:
+        raise InvariantViolation(
+            f"a full-dimensional hull in dimension {n} has only "
+            f"{len(vertices)} vertices")
     return RationalPolytope(dim=n, affine_dim=n,
                             vertices=tuple(sorted(vertices)),
                             halfspaces=halfspaces)
@@ -84,14 +91,11 @@ def _affine_chart(p0, diffs, d):
     """Basis of the affine hull plus an exact left inverse for coordinates."""
     idx = independent_subset(diffs, d)
     basis = [diffs[i] for i in idx]  # d vectors in R^n
-    # Left inverse L with L b_j = e_j: solve (B^T B) L = B^T columnwise.
-    gram = [[dot(bi, bj) for bj in basis] for bi in basis]
-    left = []
-    for col in range(len(p0)):
-        rhs = [b[col] for b in basis]
-        left.append(solve(gram, rhs))  # column of L
-    # left[c][r] = L[r][c]
-    lmat = [tuple(left[c][r] for c in range(len(p0))) for r in range(d)]
+    # Left inverse L = G^-1 B with G = B B^T the Gram matrix: G L = B, so
+    # the c-th kernel vector of [G | -B] is (column c of L, e_c).
+    gram = [tuple(dot(bi, bj) for bj in basis) for bi in basis]
+    kernel = nullspace([g + tuple(-x for x in b) for g, b in zip(gram, basis)])
+    lmat = [tuple(v[r] for v in kernel) for r in range(d)]
     return basis, lmat
 
 

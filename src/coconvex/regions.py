@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .cones import RationalCone, extreme_rays, is_positive_on_cone
 from .errors import ConeMismatch, NonpositiveScalar, NotCobounded, WrongArity
-from .linalg import det, dot, primitive, rank
-from .polytopes import hull_vertices, triangulate
+from .linalg import det, dot, primitive
+from .polytopes import hull_vertices, tight_vertices, triangulate
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     # of the region; drop it.
     facets = tuple(sorted((tuple(f[:n]), Fraction(-f[n])) for f in raw_facets
                           if any(x != 0 for x in f[:n])))
-    vertices = tuple(g for g in gens
-                     if rank([u for u, c in facets if dot(u, g) == c]) == n)
+    vertices = tight_vertices(gens, facets, n)
     threshold = Fraction(max(dot(ell, g) for g in gens))
     return NewtonRegion(cone=cone, ell=ell, generators=vertices,
                         facets=facets, threshold=threshold)

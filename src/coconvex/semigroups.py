@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .cones import RationalCone, is_positive_on_cone, orthant
 from .errors import ConeMismatch, NotCobounded, NotPrimary, WrongArity
-from .linalg import dot, primitive, solve, vec_sub
+from .linalg import dot, dual_basis, primitive, vec_sub
 from .polytopes import hull_vertices, triangulate
 from .regions import NewtonRegion, covol, minkowski_sum, mixed_covol, newton_region
 
@@ -153,15 +153,12 @@ def hilbert_basis(cone: RationalCone) -> tuple:
     for rays in subcones:
         lo = [sum(min(0, r[i]) for r in rays) for i in range(n)]
         hi = [sum(max(0, r[i]) for r in rays) for i in range(n)]
-        cols = [tuple(r[i] for r in rays) for i in range(n)]
-        mat = [list(row) for row in cols]  # n x n, columns are the rays
+        # p = sum lam_j r_j has lam_j = y_j . p for the dual basis y_j.
+        duals = dual_basis(rays)
         for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
             if all(x == 0 for x in p):
                 continue
-            lam = solve(mat, p)
-            if lam is None:
-                continue
-            if all(0 <= l <= 1 for l in lam):
+            if all(0 <= dot(y, p) <= 1 for y in duals):
                 candidates.add(p)
     return _prune_to_antichain(cone, candidates)
 

@@ -9,6 +9,7 @@ from coconvex.cones import (dual_description, extreme_rays, is_pointed_by_lp,
 from coconvex.errors import NotFullDimensional, NotStronglyConvex
 from coconvex.linalg import dot
 from coconvex.lp import in_cone_hull, nonnegative_combination
+from test_linalg import reference_nullspace, reference_rank
 
 
 def test_orthant_self_dual():
@@ -106,10 +107,10 @@ def _brute_force_facets(rays, n):
     every ray on one side."""
     import itertools
     from fractions import Fraction
-    from coconvex.linalg import nullspace, primitive
+    from coconvex.linalg import primitive
     facets = set()
     for subset in itertools.combinations(rays, n - 1):
-        kernel = nullspace([tuple(Fraction(x) for x in r) for r in subset]) \
+        kernel = reference_nullspace([tuple(Fraction(x) for x in r) for r in subset]) \
             if subset else [tuple(Fraction(1) if i == j else Fraction(0)
                                   for i in range(n)) for j in range(n)]
         if len(kernel) != 1:
@@ -121,11 +122,10 @@ def _brute_force_facets(rays, n):
         elif all(d <= 0 for d in dots):
             facets.add(tuple(-x for x in normal))
     # keep only genuine facets: touched by n-1 independent rays
-    from coconvex.linalg import rank
     out = set()
     for f in facets:
         touching = [r for r in rays if dot(f, r) == 0]
-        if touching and rank(touching) == n - 1:
+        if touching and reference_rank(touching) == n - 1:
             out.add(f)
     return out
 

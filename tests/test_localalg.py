@@ -21,9 +21,9 @@ from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                term_order, truncated_echelon, valuation)
 from coconvex.semigroups import (complement_count, ideal_power, power_sequence,
                                  product_sequence, staircase_region, sum_ideals)
-from coconvex.linalg import _echelon
 from coconvex.localalg import _initial_pivots, _points_below
 from coconvex.regions import minkowski_sum
+from test_linalg import reference_echelon
 
 ORD2 = standard_order(2)
 X = monomial(2, (1, 0))
@@ -468,7 +468,7 @@ def dense_truncated_echelon(gens, order, bound):
                 if shifted in index:
                     row[index[shifted]] = c
             rows.append(row)
-    return frozenset(cols[j] for j, _ in _echelon(rows))
+    return frozenset(cols[j] for j, _ in reference_echelon(rows))
 
 
 def same_level_poly(rng, n):

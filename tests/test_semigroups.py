@@ -362,6 +362,13 @@ def test_hilbert_basis_orthant_and_skew():
     assert hilbert_basis(skew) == ((1, 0), (1, 1), (1, 2))
     wide = dual_description([(1, 0), (1, 3)])
     assert hilbert_basis(wide) == ((1, 0), (1, 1), (1, 2), (1, 3))
+    # Elements on a face of a simplicial subcone: (1, 1, 0) on a boundary
+    # face, (0, 0, 1) on the wall between the two subcones of the square.
+    prism = dual_description([(1, 0, 0), (1, 2, 0), (0, 0, 1)])
+    assert hilbert_basis(prism) == ((0, 0, 1), (1, 0, 0), (1, 1, 0), (1, 2, 0))
+    square = dual_description([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    assert hilbert_basis(square) == \
+        ((-1, 0, 1), (0, -1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1))
 
 
 def test_custom_cone_counting():
