@@ -6,11 +6,14 @@ Hilbert basis) comes from one prune: candidates are ordered by the sum of
 their facet values, a level strictly positive on the cone minus the
 origin, so each candidate is compared only with the lower points already
 kept.  The Hilbert-Samuel function counts the finite complement
-S \\ I_k.  Counting walks the integer level sets of the positivity
-functional upward and stops once a full window of levels is clean, which
-certifies (by peeling Hilbert basis elements) that everything above lies
-in the ideal.  Orthant staircases additionally get a fast slice recursion
-used by the large random suites.
+S \\ I_k.  On a simplicial cone the count is a sum over the |det| cosets
+of the lattice spanned by the rays, one lattice point b of the half-open
+fundamental parallelepiped each: in ray coordinates above b the ideal is
+an orthant staircase, counted by the slice recursion.  The same coset
+points are the Hilbert basis candidates.  Other cones walk the integer
+level sets of the positivity functional upward and stop once a full
+window of levels is clean, which certifies (by peeling Hilbert basis
+elements) that everything above lies in the ideal.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, is_positive_on_cone, orthant
-from .errors import ConeMismatch, NotCobounded, NotPrimary, WrongArity
-from .linalg import dot, dual_basis, primitive, vec_sub
+from .errors import (ConeMismatch, InvariantViolation, NotCobounded, NotPrimary,
+                     WrongArity)
+from .linalg import det, dot, dual_basis, primitive, vec_sub
 from .polytopes import triangulate_points
 from .regions import NewtonRegion, covol, minkowski_sum, mixed_covol, newton_region
 
 SCAN_SAFETY_FACTOR = 1024  # level scan aborts at this multiple of the threshold
+NEVER_DOMINATED = ("staircase complement is infinite: "
+                   "some ray of the cone is never dominated")
 
 
 @dataclass(frozen=True)
@@ -128,13 +134,48 @@ def sum_ideals(a: SemigroupIdealSet, b: SemigroupIdealSet) -> SemigroupIdealSet:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
+def _cosets(rays: tuple):
+    """The cosets of the lattice spanned by n primitive rays r_i in Z^n.
+
+    With D = |det R| and integer adjugate rows a_j (a_j . r_i = D [i == j]),
+    every lattice point x is b + sum mu_j r_j with mu_j = floor(a_j . x / D),
+    where b lies in the half-open parallelepiped: 0 <= a_j . b < D.  The
+    residues c = (a_j . x mod D) form Z^n / R Z^n, a group of order D
+    generated by the images of the unit vectors, so it is closed from 0 by
+    adding those, one step per coset and unit vector.  Returns D, the
+    adjugate rows and the (c, b) pairs; b = sum c_j r_j / D.
+    """
+    n = len(rays)
+    d = int(abs(det(rays)))
+    adj = [tuple(int(d * x) for x in y) for y in dual_basis(rays)]
+    steps = [tuple(a[i] % d for a in adj) for i in range(n)]
+    seen = {(0,) * n}
+    stack = list(seen)
+    while stack:
+        c = stack.pop()
+        for step in steps:
+            nxt = tuple((x + y) % d for x, y in zip(c, step))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) != d:
+        raise InvariantViolation(f"found {len(seen)} cosets of a lattice "
+                                 f"of index {d}")
+    cosets = [(c, tuple(sum(x * r[i] for x, r in zip(c, rays)) // d
+                        for i in range(n)))
+              for c in sorted(seen)]
+    return d, adj, cosets
+
+
+@functools.lru_cache(maxsize=None)
 def hilbert_basis(cone: RationalCone) -> tuple:
     """Minimal generating set of cone & Z^n (Gordan enumeration).
 
     The cone is split into simplicial subcones through a triangulated
-    cross-section; candidates are the lattice points of each fundamental
-    parallelepiped plus the primitive rays; the irreducible ones are the
-    minimal nonzero candidates.
+    cross-section; candidates are the nonzero coset points of each
+    subcone's half-open fundamental parallelepiped plus the primitive rays
+    (a point of the closed parallelepiped with a coordinate 1 is a ray or
+    reducible); the irreducible ones are the minimal nonzero candidates.
     """
     n = cone.dim
     if len(cone.rays) == n:
@@ -146,15 +187,7 @@ def hilbert_basis(cone: RationalCone) -> tuple:
                     for simplex in triangulate_points(section)]
     candidates = set(cone.rays)
     for rays in subcones:
-        lo = [sum(min(0, r[i]) for r in rays) for i in range(n)]
-        hi = [sum(max(0, r[i]) for r in rays) for i in range(n)]
-        # p = sum lam_j r_j has lam_j = y_j . p for the dual basis y_j.
-        duals = dual_basis(rays)
-        for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-            if all(x == 0 for x in p):
-                continue
-            if all(0 <= dot(y, p) <= 1 for y in duals):
-                candidates.add(p)
+        candidates.update(b for _, b in _cosets(rays)[2] if any(b))
     return _prune_to_antichain(cone, candidates)
 
 
@@ -196,9 +229,16 @@ def level_height(semigroup: LatticeSemigroup) -> int:
 
 
 def staircase_region(ideal: SemigroupIdealSet) -> NewtonRegion:
-    """Newton region conv(min_generators) + cone of the staircase."""
-    return newton_region(ideal.semigroup.cone, ideal.min_generators,
-                         ideal.semigroup.ell)
+    """Newton region conv(min_generators) + cone of the staircase.
+
+    Raises NotPrimary when the complement is infinite, i.e. when the region
+    is not cobounded: some extreme ray carries no generator.
+    """
+    try:
+        return newton_region(ideal.semigroup.cone, ideal.min_generators,
+                             ideal.semigroup.ell)
+    except NotCobounded as exc:
+        raise NotPrimary(NEVER_DOMINATED) from exc
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,11 +250,7 @@ def _complement_scan(ideal: SemigroupIdealSet):
     levels contain no complement point: peeling Hilbert basis elements
     shows every higher point then lies in the ideal.
     """
-    try:
-        region = staircase_region(ideal)
-    except NotCobounded as exc:
-        raise NotPrimary("staircase complement is infinite: "
-                         "some ray of the cone is never dominated") from exc
+    region = staircase_region(ideal)
     sg = ideal.semigroup
     h = level_height(sg)
     # Generators sorted by level lets membership skip those above the point.
@@ -258,11 +294,11 @@ def _orthant_colength(gens: frozenset, n: int) -> int:
     """Complement count of an orthant staircase by last-coordinate slices."""
     if n == 1:
         if not gens:
-            raise NotPrimary("missing pure power along an axis")
+            raise NotPrimary(NEVER_DOMINATED)
         return min(g[0] for g in gens)
     cuts = sorted({g[-1] for g in gens})
     if not cuts:
-        raise NotPrimary("empty staircase")
+        raise NotPrimary(NEVER_DOMINATED)
     if cuts[0] != 0:
         cuts = [0] + cuts
     slice_cone = orthant(n - 1)
@@ -272,20 +308,47 @@ def _orthant_colength(gens: frozenset, n: int) -> int:
             slice_cone, [g[:-1] for g in gens if g[-1] <= v]))
         if j + 1 < len(cuts):
             if not active:
-                raise NotPrimary("missing pure power along an axis")
+                raise NotPrimary(NEVER_DOMINATED)
             total += (cuts[j + 1] - v) * _orthant_colength(active, n - 1)
         else:
             if _orthant_colength(active, n - 1) != 0:
-                raise NotPrimary("missing pure power along an axis")
+                raise NotPrimary(NEVER_DOMINATED)
     return total
 
 
 def complement_count(ideal: SemigroupIdealSet) -> int:
-    """#(S \\ I); the orthant fast path avoids materializing the complement."""
-    if _is_standard_orthant(ideal.semigroup.cone):
-        return _orthant_colength(frozenset(ideal.min_generators),
-                                 ideal.semigroup.dim)
-    return len(_complement_scan(ideal)[0])
+    """#(S \\ I), without materializing the complement on simplicial cones.
+
+    Write a lattice point of a simplicial cone as x = b + sum mu_j r_j over
+    its coset point b (see `_cosets`).  The cone is {a_j . y >= 0}, so x
+    lies in g + cone exactly when mu_j >= ceil(a_j . (g - b) / D) for every
+    j: above each b the ideal is the orthant staircase generated by
+    ceil(a . (g - b) / D), which is >= 0 since a . g >= 0 and a . b < D,
+    and the count is the sum of their `_orthant_colength`.  The orthant is
+    the case D = 1, b = 0, with the generators used as they are.
+
+    A non-simplicial cone keeps the level scan: in the coordinates of a
+    simplicial subcone, x - g may lie in the cone while the coordinate test
+    fails.  On the cone over (1,0,0), (0,1,0), (1,0,1), (0,1,1), with the
+    subcone on its first three rays, x = (2,1,2) and g = (2,0,1) have
+    x - g = (0,1,1) in the cone, but in subcone coordinates x is (0,1,2)
+    and g is (1,0,1).
+    """
+    sg = ideal.semigroup
+    n = sg.dim
+    if _is_standard_orthant(sg.cone):
+        return _orthant_colength(frozenset(ideal.min_generators), n)
+    if len(sg.cone.rays) != n:
+        return len(_complement_scan(ideal)[0])
+    d, adj, cosets = _cosets(sg.cone.rays)
+    coords = [tuple(dot(a, g) for a in adj) for g in ideal.min_generators]
+    total = 0
+    for c, _ in cosets:
+        # ceil((a . g - c) / d), never negative: a . g >= 0 and c < d
+        gens = frozenset(tuple(-((x - y) // d) for x, y in zip(c, ag))
+                         for ag in coords)
+        total += _orthant_colength(gens, n)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from coconvex import localalg
+from coconvex import localalg, semigroups
 from coconvex.cli import main
 
 
@@ -109,6 +110,33 @@ def test_hilbert_samuel_command(tmp_path, capsys):
     code, out, _ = run(capsys, ["hilbert-samuel", "--input", path, "--kmax", "5"])
     assert code == 0
     assert json.loads(out)["H"] == [1, 3, 6, 10, 15]
+
+
+def test_hilbert_samuel_thin_skew_cone(tmp_path, capsys, monkeypatch):
+    """The simplicial cone on (1,0,0), (0,1,0), (1,1,40) is counted coset by
+    coset; the level scan, which enumerates the bounding box of each level
+    slice, did not finish --kmax 8 in 30 s here and must not be reached."""
+    def no_level_scan(*args, **kwargs):
+        raise AssertionError("complement counted by the level scan")
+    monkeypatch.setattr(semigroups, "iter_points_at_level", no_level_scan)
+    path = write(tmp_path, "thin.json", {
+        "cone_rays": [[1, 0, 0], [0, 1, 0], [1, 1, 40]],
+        "generators": [[3, 0, 0], [0, 3, 0], [3, 3, 120]]})
+    code, out, err = run(capsys, ["hilbert-samuel", "--input", path, "--kmax", "8"])
+    assert code == 0, err
+    hs = json.loads(out)["H"]
+    assert hs == [1080, 4320, 10800, 21600, 37800, 60480, 90720, 129600]
+    assert hs == [1080 * math.comb(k + 2, 3) for k in range(1, 9)]
+
+
+def test_hilbert_samuel_not_primary_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "bare.json", {
+        "cone_rays": [[1, 0], [1, 2]], "generators": [[2, 0], [1, 1]]})
+    code, out, err = run(capsys, ["hilbert-samuel", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "NotPrimary" in err and "never dominated" in err
+    assert "Traceback" not in err
 
 
 def test_initial_ideal_command(tmp_path, capsys):

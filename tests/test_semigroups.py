@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from coconvex import semigroups
 from coconvex.cones import dual_description, orthant
-from coconvex.errors import ConeMismatch, NotPrimary
+from coconvex.errors import (ConeMismatch, InvariantViolation, NotFullDimensional,
+                             NotPrimary)
 from coconvex.fitting import stabilized_leading
-from coconvex.linalg import vec_sub
+from coconvex.linalg import det, dot, dual_basis, primitive, vec_sub
+from coconvex.polytopes import triangulate_points
 from coconvex.regions import covol, minkowski_sum
 from coconvex.semigroups import (complement_count, complement_points,
                                  explicit_sequence, gamma_region, hilbert_basis,
@@ -32,6 +35,18 @@ ORACLE_CONES = [
     dual_description([(1, 0), (1, 3)]),
     dual_description([(-1, 2), (2, -1)]),
     dual_description([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+]
+
+
+# Simplicial cones counted coset by coset, checked against the level scan.
+COSET_CONES = [
+    dual_description([(1, 0), (1, 2)]),
+    dual_description([(1, 0), (1, 3)]),
+    dual_description([(-1, 2), (2, -1)]),
+    dual_description([(2, 1), (1, 3)]),
+    dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 3)]),
+    orthant(2),
+    orthant(3),
 ]
 
 
@@ -79,6 +94,29 @@ def brute_force_complement(gens):
         if not any(all(x >= g for x, g in zip(p, gen)) for gen in gens):
             out.append(p)
     return sorted(out)
+
+
+def box_hilbert_basis(cone):
+    """Reference Hilbert basis: the nonzero points p of the bounding box of
+    each closed fundamental parallelepiped with 0 <= y_j . p <= 1 for the
+    dual basis y_j of its simplicial subcone, plus the rays, pruned pairwise."""
+    n = cone.dim
+    if len(cone.rays) == n:
+        subcones = [cone.rays]
+    else:
+        ell0 = lattice_semigroup(cone).ell
+        section = [tuple(Fraction(x, dot(ell0, r)) for x in r) for r in cone.rays]
+        subcones = [tuple(primitive(v) for v in simplex)
+                    for simplex in triangulate_points(section)]
+    candidates = set(cone.rays)
+    for rays in subcones:
+        lo = [sum(min(0, r[i]) for r in rays) for i in range(n)]
+        hi = [sum(max(0, r[i]) for r in rays) for i in range(n)]
+        duals = dual_basis(rays)
+        for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+            if any(p) and all(0 <= dot(y, p) <= 1 for y in duals):
+                candidates.add(p)
+    return all_pairs_prune(cone, candidates)
 
 
 def test_ideal_power_examples():
@@ -168,6 +206,66 @@ def test_complement_paths_agree():
         scanned = len(_complement_scan(ideal)[0])
         brute = len(brute_force_complement(ideal.min_generators))
         assert fast == scanned == brute
+
+
+def test_coset_count_matches_level_scan():
+    """Coset counting against the level scan on 520 seeded (ideal, k) pairs;
+    about one draw in ten leaves a ray bare, and both paths must raise."""
+    rng = random.Random(4242)
+    raised = 0
+    for draw in range(260):
+        cone = COSET_CONES[draw % len(COSET_CONES)]
+        rays = list(cone.rays)
+        if rng.random() < 0.1:
+            rays.pop(rng.randrange(len(rays)))
+        gens = [tuple(m * x for x in r)
+                for m, r in zip((rng.randint(1, 3) for _ in rays), rays)]
+        gens += random_cone_points(rng, cone, rng.randint(1, 3))
+        ideal = semigroup_ideal(lattice_semigroup(cone), gens)
+        for k in (1, 2):
+            power = ideal_power(ideal, k)
+            try:
+                scanned = len(_complement_scan(power)[0])
+            except NotPrimary:
+                raised += 1
+                with pytest.raises(NotPrimary, match="never dominated"):
+                    complement_count(power)
+            else:
+                assert complement_count(power) == scanned, (cone.rays, gens, k)
+    assert 30 <= raised <= 80
+
+
+def test_non_simplicial_count_matches_box_count():
+    """The 4-ray cone stays on the level scan: in the coordinates of its
+    subcone on (1,0,0), (0,1,0), (1,0,1), x = (2,1,2) lies in g + cone for
+    g = (2,0,1) though x's coordinates (0,1,2) do not dominate g's (1,0,1)."""
+    cone = ORACLE_CONES[-1]
+    sg = lattice_semigroup(cone)
+    assert semigroup_ideal(sg, [(2, 0, 1)]).contains((2, 1, 2))
+    rng = random.Random(5)
+    for _ in range(10):
+        gens = [tuple(m * x for x in r)
+                for m, r in zip((rng.randint(1, 3) for _ in cone.rays), cone.rays)]
+        gens += random_cone_points(rng, cone, rng.randint(1, 3)) + [(2, 0, 1)]
+        ideal = semigroup_ideal(sg, gens)
+        # A complement point has coordinates below 3 on the three 0/1 rays
+        # of some simplicial subcone, so every entry is at most 9.
+        box = sum(1 for x in itertools.product(range(10), repeat=3)
+                  if cone.contains(x) and not ideal.contains(x))
+        assert complement_count(ideal) == box
+
+
+def test_coset_enumeration_checks_the_index(monkeypatch):
+    """A wrong determinant finds the cosets of another index and raises."""
+    semigroups._cosets.cache_clear()
+    monkeypatch.setattr(semigroups, "det", lambda rows: 2 * det(rows))
+    ideal = semigroup_ideal(lattice_semigroup(dual_description([(1, 0), (1, 5)])),
+                            [(2, 0), (2, 10)])
+    try:
+        with pytest.raises(InvariantViolation, match="cosets"):
+            complement_count(ideal)
+    finally:
+        semigroups._cosets.cache_clear()
 
 
 def test_complement_infinite_raises():
@@ -369,6 +467,24 @@ def test_hilbert_basis_orthant_and_skew():
     square = dual_description([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
     assert hilbert_basis(square) == \
         ((-1, 0, 1), (0, -1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1))
+
+
+def test_hilbert_basis_matches_box_enumeration():
+    rng = random.Random(808)
+    checked = non_simplicial = 0
+    while checked < 200:
+        n = rng.choice([2, 3])
+        # last coordinate positive: the cone is pointed, often with > n rays
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n - 1)) + (rng.randint(1, 3),)
+                for _ in range(rng.randint(n, n + 3))]
+        try:
+            cone = dual_description(rays)
+        except NotFullDimensional:
+            continue
+        assert hilbert_basis(cone) == box_hilbert_basis(cone), cone.rays
+        checked += 1
+        non_simplicial += len(cone.rays) > n
+    assert non_simplicial >= 40
 
 
 def test_custom_cone_counting():
