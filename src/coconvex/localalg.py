@@ -286,7 +286,7 @@ class MonomialIdealLocal:
 
 def monomial_ideal(exponents, cone: RationalCone = None,
                    semigroup: LatticeSemigroup = None) -> MonomialIdealLocal:
-    exponents = [tuple(int(x) for x in e) for e in exponents]
+    exponents = [tuple(e) for e in exponents]
     if not exponents:
         raise ValueError("need at least one monomial")
     if semigroup is None:

@@ -6,14 +6,14 @@ Hilbert basis) comes from one prune: candidates are ordered by the sum of
 their facet values, a level strictly positive on the cone minus the
 origin, so each candidate is compared only with the lower points already
 kept.  The Hilbert-Samuel function counts the finite complement
-S \\ I_k.  On a simplicial cone the count is a sum over the |det| cosets
-of the lattice spanned by the rays, one lattice point b of the half-open
-fundamental parallelepiped each: in ray coordinates above b the ideal is
-an orthant staircase, counted by the slice recursion.  The same coset
-points are the Hilbert basis candidates.  Other cones walk the integer
-level sets of the positivity functional upward and stop once a full
-window of levels is clean, which certifies (by peeling Hilbert basis
-elements) that everything above lies in the ideal.
+S \\ I_k.  Every count splits the cone into simplicial pieces and each
+piece into the |det| cosets of the lattice spanned by its rays, one
+lattice point b of the half-open fundamental parallelepiped each.  On a
+simplicial cone the ideal above b is an orthant staircase in ray
+coordinates, counted by the slice recursion.  On any cone a complement
+point sits below the least generator multiple of each ray in some piece,
+so the complement and its top level are read off those coset boxes.  The
+same coset points are the Hilbert basis candidates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .linalg import det, dot, dual_basis, primitive, vec_sub
 from .polytopes import triangulate_points
 from .regions import NewtonRegion, covol, minkowski_sum, mixed_covol, newton_region
 
-SCAN_SAFETY_FACTOR = 1024  # level scan aborts at this multiple of the threshold
 NEVER_DOMINATED = ("staircase complement is infinite: "
                    "some ray of the cone is never dominated")
 
@@ -95,12 +94,16 @@ def _prune_to_antichain(cone: RationalCone, points) -> tuple:
 
 
 def semigroup_ideal(semigroup: LatticeSemigroup, generators) -> SemigroupIdealSet:
-    gens = [tuple(int(x) for x in g) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    for g in gens:
+    gens = []
+    for given in map(tuple, generators):
+        g = tuple(int(x) for x in given)
+        if g != given:
+            raise ValueError(f"generator {given} has a non-integer coordinate")
         if not semigroup.cone.contains(g):
             raise ValueError(f"generator {g} is not in the semigroup")
+        gens.append(g)
+    if not gens:
+        raise ValueError("need at least one generator")
     return SemigroupIdealSet(semigroup=semigroup,
                              min_generators=_prune_to_antichain(semigroup.cone, gens))
 
@@ -167,26 +170,28 @@ def _cosets(rays: tuple):
     return d, adj, cosets
 
 
+def _simplicial_pieces(cone: RationalCone) -> list:
+    """Ray tuples of simplicial subcones covering the cone: the cone itself
+    when simplicial, else one per simplex of a triangulated cross-section."""
+    if len(cone.rays) == cone.dim:
+        return [cone.rays]
+    ell0 = lattice_semigroup(cone).ell
+    section = [tuple(Fraction(x, dot(ell0, r)) for x in r) for r in cone.rays]
+    return [tuple(primitive(v) for v in simplex)
+            for simplex in triangulate_points(section)]
+
+
 @functools.lru_cache(maxsize=None)
 def hilbert_basis(cone: RationalCone) -> tuple:
     """Minimal generating set of cone & Z^n (Gordan enumeration).
 
-    The cone is split into simplicial subcones through a triangulated
-    cross-section; candidates are the nonzero coset points of each
-    subcone's half-open fundamental parallelepiped plus the primitive rays
-    (a point of the closed parallelepiped with a coordinate 1 is a ray or
-    reducible); the irreducible ones are the minimal nonzero candidates.
+    Candidates are the nonzero coset points of each simplicial piece's
+    half-open fundamental parallelepiped plus the primitive rays (a point of
+    the closed parallelepiped with a coordinate 1 is a ray or reducible);
+    the irreducible ones are the minimal nonzero candidates.
     """
-    n = cone.dim
-    if len(cone.rays) == n:
-        subcones = [cone.rays]
-    else:
-        ell0 = lattice_semigroup(cone).ell
-        section = [tuple(Fraction(x, dot(ell0, r)) for x in r) for r in cone.rays]
-        subcones = [tuple(primitive(v) for v in simplex)
-                    for simplex in triangulate_points(section)]
     candidates = set(cone.rays)
-    for rays in subcones:
+    for rays in _simplicial_pieces(cone):
         candidates.update(b for _, b in _cosets(rays)[2] if any(b))
     return _prune_to_antichain(cone, candidates)
 
@@ -224,7 +229,9 @@ def iter_points_at_level(semigroup: LatticeSemigroup, level: int):
 
 
 def level_height(semigroup: LatticeSemigroup) -> int:
-    """Max level of a Hilbert basis element; the clean-run window width."""
+    """Max level h of a Hilbert basis element: peeling one off lowers a
+    level by at most h, which bounds the generating window of
+    `primary_certificate` and the product term of `sequence_t0`."""
     return max(dot(semigroup.ell, h) for h in hilbert_basis(semigroup.cone))
 
 
@@ -241,52 +248,42 @@ def staircase_region(ideal: SemigroupIdealSet) -> NewtonRegion:
         raise NotPrimary(NEVER_DOMINATED) from exc
 
 
-@functools.lru_cache(maxsize=None)
-def _complement_scan(ideal: SemigroupIdealSet):
-    """Complement points and the first level t1 with S & {l >= t1} inside I.
+def _coset_complement(ideal: SemigroupIdealSet):
+    """S \\ I, sorted, and t1 = 1 + its top level (0 when empty), the least
+    level with S & {l >= t1} inside I.
 
-    Certifies finiteness through the staircase region's threshold first,
-    then scans integer levels upward until `level_height` consecutive
-    levels contain no complement point: peeling Hilbert basis elements
-    shows every higher point then lies in the ideal.
+    A multiple of an extreme ray r lies in I only above a generator on r;
+    let c_r be the least such multiple, and raise NotPrimary when a ray has
+    none.  In a simplicial piece on rays r_j, x = b + sum mu_j r_j over its
+    coset point b (see `_cosets`) lies in c_j r_j + S once mu_j >= c_j, so
+    the complement is among the points with every mu_j < c_j.  Those that
+    no generator lies below, compared by facet values, are kept.
     """
-    region = staircase_region(ideal)
     sg = ideal.semigroup
-    h = level_height(sg)
-    # Generators sorted by level lets membership skip those above the point.
-    gens_by_level = sorted(ideal.min_generators, key=lambda g: dot(sg.ell, g))
-    gen_levels = [dot(sg.ell, g) for g in gens_by_level]
     cone = sg.cone
-
-    def member(x, level):
-        for g, gl in zip(gens_by_level, gen_levels):
-            if gl > level:
-                return False
-            if cone.contains(vec_sub(x, g)):
-                return True
-        return False
-
-    safety = SCAN_SAFETY_FACTOR * (int(region.threshold) + h + 1)
-    points = []
-    level = 0
-    clean = 0
-    while clean < h:
-        bad = [x for x in iter_points_at_level(sg, level) if not member(x, level)]
-        if bad:
-            points.extend(bad)
-            clean = 0
-        else:
-            clean += 1
-        level += 1
-        if level > safety:
-            raise NotPrimary("level scan exceeded the safety cap")
-    t1 = level - h
-    return tuple(points), t1
+    least = {}
+    for g in ideal.min_generators:
+        for r in cone.rays:
+            c = dot(sg.ell, g) // dot(sg.ell, r)
+            if tuple(c * x for x in r) == g:
+                least[r] = c
+    if len(least) != len(cone.rays):
+        raise NotPrimary(NEVER_DOMINATED)
+    values = {}
+    for rays in _simplicial_pieces(cone):
+        for _, b in _cosets(rays)[2]:
+            for mu in itertools.product(*(range(least[r]) for r in rays)):
+                p = tuple(x + dot(mu, column) for x, column in zip(b, zip(*rays)))
+                values[p] = [dot(f, p) for f in cone.facets]
+    gen_values = [[dot(f, g) for f in cone.facets] for g in ideal.min_generators]
+    points = tuple(sorted(p for p, v in values.items() if not any(
+        all(map(operator.ge, v, w)) for w in gen_values)))
+    return points, 1 + max((dot(sg.ell, p) for p in points), default=-1)
 
 
 def complement_points(ideal: SemigroupIdealSet) -> tuple:
     """The finite set S \\ I, sorted; raises NotPrimary when infinite."""
-    return tuple(sorted(_complement_scan(ideal)[0]))
+    return _coset_complement(ideal)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,19 +324,20 @@ def complement_count(ideal: SemigroupIdealSet) -> int:
     and the count is the sum of their `_orthant_colength`.  The orthant is
     the case D = 1, b = 0, with the generators used as they are.
 
-    A non-simplicial cone keeps the level scan: in the coordinates of a
-    simplicial subcone, x - g may lie in the cone while the coordinate test
+    A non-simplicial cone has no such orthant count: in the coordinates of
+    a simplicial piece, x - g may lie in the cone while the coordinate test
     fails.  On the cone over (1,0,0), (0,1,0), (1,0,1), (0,1,1), with the
-    subcone on its first three rays, x = (2,1,2) and g = (2,0,1) have
-    x - g = (0,1,1) in the cone, but in subcone coordinates x is (0,1,2)
-    and g is (1,0,1).
+    piece on its first three rays, x = (2,1,2) and g = (2,0,1) have
+    x - g = (0,1,1) in the cone, but in piece coordinates x is (0,1,2) and
+    g is (1,0,1).  There the points `_coset_complement` lists from the
+    coset boxes are counted.
     """
     sg = ideal.semigroup
     n = sg.dim
     if _is_standard_orthant(sg.cone):
         return _orthant_colength(frozenset(ideal.min_generators), n)
     if len(sg.cone.rays) != n:
-        return len(_complement_scan(ideal)[0])
+        return len(_coset_complement(ideal)[0])
     d, adj, cosets = _cosets(sg.cone.rays)
     coords = [tuple(dot(a, g) for a in adj) for g in ideal.min_generators]
     total = 0
@@ -420,22 +418,20 @@ def explicit_sequence(ideals) -> PrimaryGradedSequence:
 def primary_certificate(ideal: SemigroupIdealSet) -> Fraction:
     """Constructive t0 for the power sequence of the ideal.
 
-    Finds t1 with S & {l >= t1} inside I, takes every semigroup point in
-    the window [t1, 2 t1 + h - 1] as a generating set of M1 = S & {l >= t1}
-    (peeling shows the window generates), and returns one more than the
-    largest generator level.
+    Reads t1, the least level with S & {l >= t1} inside I, off the coset
+    complement, takes every semigroup point in the window
+    [t1, 2 t1 + h - 1] as a generating set of M1 = S & {l >= t1}, where h is
+    `level_height` (peeling shows the window generates), and returns one
+    more than the largest generator level: the level walk goes down from
+    the top of the window to the first level holding a point.
     """
     if ideal.is_whole_semigroup:
         return Fraction(1)
-    _, t1 = _complement_scan(ideal)
+    _, t1 = _coset_complement(ideal)
     sg = ideal.semigroup
-    h = level_height(sg)
-    top = 2 * t1 + h - 1
-    best = 0
-    for level in range(t1, top + 1):
-        for _ in iter_points_at_level(sg, level):
-            best = max(best, level)
-            break
+    top = 2 * t1 + level_height(sg) - 1
+    best = next((level for level in range(top, t1 - 1, -1)
+                 if any(True for _ in iter_points_at_level(sg, level))), 0)
     return Fraction(best + 1)
 
 
@@ -448,7 +444,7 @@ def sequence_t0(seq: PrimaryGradedSequence) -> Fraction:
         return sequence_t0(a) + sequence_t0(b) + level_height(seq.semigroup)
     t0 = Fraction(1)
     for k in range(1, len(seq.prefix) + 1):
-        _, t1 = _complement_scan(seq.prefix[k - 1])
+        _, t1 = _coset_complement(seq.prefix[k - 1])
         t0 = max(t0, Fraction(t1, k))
     return t0
 
@@ -521,6 +517,9 @@ def multiplicity(seq: PrimaryGradedSequence) -> Fraction:
 
 def multiplicity_estimate(seq: PrimaryGradedSequence):
     """(inner covolume, H(kmax)/kmax^n trend) bracket for explicit prefixes."""
+    if seq.exact_region:
+        raise ValueError("powers and products have an exact multiplicity; "
+                         "use multiplicity")
     data = okounkov_data(seq)
     kmax = len(seq.prefix)
     n = seq.semigroup.dim

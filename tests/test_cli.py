@@ -129,6 +129,20 @@ def test_hilbert_samuel_thin_skew_cone(tmp_path, capsys, monkeypatch):
     assert hs == [1080 * math.comb(k + 2, 3) for k in range(1, 9)]
 
 
+def test_hilbert_samuel_non_simplicial_cone(tmp_path, capsys, monkeypatch):
+    """The 4-ray cone on (1,0,0), (0,1,0), (1,0,1), (0,1,1) is counted from
+    the coset boxes of its simplicial pieces, without a level walk."""
+    def no_level_walk(*args, **kwargs):
+        raise AssertionError("complement counted by a level walk")
+    monkeypatch.setattr(semigroups, "iter_points_at_level", no_level_walk)
+    path = write(tmp_path, "four.json", {
+        "cone_rays": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]],
+        "generators": [[2, 0, 0], [0, 2, 0], [2, 0, 2], [0, 2, 2], [1, 1, 1]]})
+    code, out, err = run(capsys, ["hilbert-samuel", "--input", path, "--kmax", "6"])
+    assert code == 0, err
+    assert json.loads(out)["H"] == [9, 42, 115, 244, 445, 734]
+
+
 def test_hilbert_samuel_not_primary_exit_2(tmp_path, capsys):
     path = write(tmp_path, "bare.json", {
         "cone_rays": [[1, 0], [1, 2]], "generators": [[2, 0], [1, 1]]})

@@ -10,12 +10,14 @@ from coconvex.errors import (ConeMismatch, NonpositiveScalar, NotCobounded,
                              WrongArity)
 from coconvex.fitting import fit_homogeneous_pair
 from coconvex.linalg import dot
+from coconvex.localalg import monomial_ideal
 from coconvex.polytopes import (hull_vertices, polytope_volume,
                                 vertices_from_halfspaces)
 from coconvex.radicals import compare_root_sum
 from coconvex.regions import (coconvex_body, cone_region, covol,
                               minkowski_sum, mixed_covol, newton_diagram,
                               newton_region, scale)
+from coconvex.semigroups import lattice_semigroup, semigroup_ideal
 
 from test_polytopes import shoelace
 
@@ -283,6 +285,12 @@ def test_generators_inside_cone_required():
         newton_region(O2, [(-1, 0)], ELL2)
     with pytest.raises(ValueError):
         newton_region(O2, [(1, 0), (0, 1)], (1, 0))  # not positive on cone
+    # staircase generators are lattice points: no coordinate is truncated
+    for bad in ((Fraction(5, 2), 0), (2.7, 0)):
+        with pytest.raises(ValueError, match="non-integer"):
+            semigroup_ideal(lattice_semigroup(O2), [bad, (0, 1)])
+        with pytest.raises(ValueError, match="non-integer"):
+            monomial_ideal([bad, (0, 1)])
 
 
 def test_custom_cone_region():

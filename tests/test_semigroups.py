@@ -23,7 +23,7 @@ from coconvex.semigroups import (complement_count, complement_points,
                                  okounkov_data, power_sequence,
                                  primary_certificate, product_sequence,
                                  semigroup_ideal, sequence_t0, staircase_region,
-                                 sum_ideals, _complement_scan)
+                                 sum_ideals, _coset_complement)
 
 S2 = lattice_semigroup(orthant(2))
 S3 = lattice_semigroup(orthant(3))
@@ -119,6 +119,28 @@ def box_hilbert_basis(cone):
     return all_pairs_prune(cone, candidates)
 
 
+def level_scan(ideal):
+    """Reference complement and t1: walk the integer levels upward, after
+    the staircase region certifies the complement finite, until
+    `level_height` consecutive levels hold no complement point; peeling
+    Hilbert basis elements shows every higher point then lies in the ideal.
+    Returns the points in level order and t1, the first clean level."""
+    region = staircase_region(ideal)
+    sg = ideal.semigroup
+    h = level_height(sg)
+    cap = 1024 * (int(region.threshold) + h + 1)
+    points = []
+    level = clean = 0
+    while clean < h:
+        bad = [x for x in iter_points_at_level(sg, level) if not ideal.contains(x)]
+        points.extend(bad)
+        clean = 0 if bad else clean + 1
+        level += 1
+        if level > cap:
+            raise NotPrimary("level scan exceeded the safety cap")
+    return tuple(points), level - h
+
+
 def test_ideal_power_examples():
     assert ideal_power(ideal2([(1, 0), (0, 1)]), 2).min_generators == \
         ((0, 2), (1, 1), (2, 0))
@@ -203,14 +225,17 @@ def test_complement_paths_agree():
         gens = [g for g in gens if any(g)]
         ideal = ideal2(gens)
         fast = complement_count(ideal)
-        scanned = len(_complement_scan(ideal)[0])
-        brute = len(brute_force_complement(ideal.min_generators))
-        assert fast == scanned == brute
+        scanned, t1 = level_scan(ideal)
+        brute = brute_force_complement(ideal.min_generators)
+        assert fast == len(scanned) == len(brute)
+        assert _coset_complement(ideal) == (tuple(sorted(scanned)), t1)
+        assert complement_points(ideal) == tuple(brute)
 
 
 def test_coset_count_matches_level_scan():
-    """Coset counting against the level scan on 520 seeded (ideal, k) pairs;
-    about one draw in ten leaves a ray bare, and both paths must raise."""
+    """Coset counting and the coset complement against the level scan on
+    520 seeded (ideal, k) pairs; about one draw in ten leaves a ray bare,
+    and every path must raise."""
     rng = random.Random(4242)
     raised = 0
     for draw in range(260):
@@ -225,34 +250,65 @@ def test_coset_count_matches_level_scan():
         for k in (1, 2):
             power = ideal_power(ideal, k)
             try:
-                scanned = len(_complement_scan(power)[0])
+                scanned, t1 = level_scan(power)
             except NotPrimary:
                 raised += 1
                 with pytest.raises(NotPrimary, match="never dominated"):
                     complement_count(power)
+                with pytest.raises(NotPrimary, match="never dominated"):
+                    _coset_complement(power)
             else:
-                assert complement_count(power) == scanned, (cone.rays, gens, k)
+                assert complement_count(power) == len(scanned), (cone.rays, gens, k)
+                assert _coset_complement(power) == (tuple(sorted(scanned)), t1)
     assert 30 <= raised <= 80
 
 
 def test_non_simplicial_count_matches_box_count():
-    """The 4-ray cone stays on the level scan: in the coordinates of its
-    subcone on (1,0,0), (0,1,0), (1,0,1), x = (2,1,2) lies in g + cone for
-    g = (2,0,1) though x's coordinates (0,1,2) do not dominate g's (1,0,1)."""
-    cone = ORACLE_CONES[-1]
-    sg = lattice_semigroup(cone)
-    assert semigroup_ideal(sg, [(2, 0, 1)]).contains((2, 1, 2))
+    """The 4-ray cones are no single simplicial piece: in the coordinates of
+    the subcone on (1,0,0), (0,1,0), (1,0,1), x = (2,1,2) lies in g + cone
+    for g = (2,0,1) though x's coordinates (0,1,2) do not dominate g's
+    (1,0,1).  Each draw puts a multiple m <= 3 of every ray among the
+    generators, so a complement point is sum lambda_j r_j with
+    0 <= lambda_j < 3 over the rays of some simplicial piece, and each
+    entry lies within 3 times the sums of the negative and positive ray
+    entries."""
+    four_ray = ORACLE_CONES[-1]
+    assert semigroup_ideal(lattice_semigroup(four_ray), [(2, 0, 1)]).contains((2, 1, 2))
+    square = dual_description([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    assert len(square.rays) == 4
     rng = random.Random(5)
-    for _ in range(10):
-        gens = [tuple(m * x for x in r)
-                for m, r in zip((rng.randint(1, 3) for _ in cone.rays), cone.rays)]
-        gens += random_cone_points(rng, cone, rng.randint(1, 3)) + [(2, 0, 1)]
-        ideal = semigroup_ideal(sg, gens)
-        # A complement point has coordinates below 3 on the three 0/1 rays
-        # of some simplicial subcone, so every entry is at most 9.
-        box = sum(1 for x in itertools.product(range(10), repeat=3)
-                  if cone.contains(x) and not ideal.contains(x))
-        assert complement_count(ideal) == box
+    for cone in (four_ray, square):
+        sg = lattice_semigroup(cone)
+        box = [range(3 * sum(min(0, r[i]) for r in cone.rays),
+                     3 * sum(max(0, r[i]) for r in cone.rays) + 1)
+               for i in range(cone.dim)]
+        for _ in range(10):
+            gens = [tuple(m * x for x in r)
+                    for m, r in zip((rng.randint(1, 3) for _ in cone.rays), cone.rays)]
+            gens += random_cone_points(rng, cone, rng.randint(1, 3)) + [(2, 0, 1)]
+            ideal = semigroup_ideal(sg, gens)
+            outside = tuple(x for x in itertools.product(*box)
+                            if cone.contains(x) and not ideal.contains(x))
+            assert complement_points(ideal) == outside
+            assert complement_count(ideal) == len(outside)
+            scanned, t1 = level_scan(ideal)
+            assert _coset_complement(ideal) == (tuple(sorted(scanned)), t1)
+
+
+def test_thin_cone_complement_from_cosets(monkeypatch):
+    """On the simplicial cone over (1,0,0), (0,1,0), (1,1,40) the complement
+    of (3,0,0), (0,3,0), (3,3,120) is the full 40 * 27 coset box, listed
+    without walking a level; the certificate's window still walks levels."""
+    sg = lattice_semigroup(dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 40)]))
+    ideal = semigroup_ideal(sg, [(3, 0, 0), (0, 3, 0), (3, 3, 120)])
+    with monkeypatch.context() as patch:
+        def no_level_walk(*args, **kwargs):
+            raise AssertionError("complement listed by a level walk")
+        patch.setattr(semigroups, "iter_points_at_level", no_level_walk)
+        points = complement_points(ideal)
+        assert len(points) == 1080
+        assert max(dot(sg.ell, p) for p in points) == 319
+    assert primary_certificate(ideal) == 719
 
 
 def test_coset_enumeration_checks_the_index(monkeypatch):
@@ -379,6 +435,9 @@ def test_multiplicity_explicit_estimate():
     assert inner == Fraction(1, 2)
     assert trend == Fraction(3, 4)
     assert not okounkov_data(explicit).exact
+    for exact in (a, product_sequence(a, a)):
+        with pytest.raises(ValueError, match="use multiplicity"):
+            multiplicity_estimate(exact)
 
 
 def test_mixed_multiplicity_semigroup_examples():

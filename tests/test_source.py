@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import coconvex
@@ -30,3 +31,17 @@ def test_traced_targets_resolve():
                if not callable(getattr(importlib.import_module(f"coconvex.{module}"),
                                        function, None))]
     assert missing == []
+
+
+def test_package_caches_are_listed():
+    """Every module-level cache in the package is named here, so a new
+    unbounded cache shows up in review."""
+    found = []
+    for info in pkgutil.iter_modules(coconvex.__path__):
+        module = importlib.import_module(f"coconvex.{info.name}")
+        found += [name for name, value in vars(module).items()
+                  if hasattr(value, "cache_info")
+                  and getattr(value, "__module__", None) == module.__name__]
+    assert sorted(found) == sorted([
+        "ideal_power", "_cosets", "hilbert_basis", "_orthant_colength", "covol",
+        "_product_map", "_initial_pivots"])
