@@ -4,17 +4,18 @@ Polynomials carry exact rational coefficients.  A term order is a strictly
 positive integer level functional refined lexicographically to a total
 order; the lowest-term valuation sends f to its order-minimal exponent.
 Initial ideals of powers a^k are read off from a truncated Macaulay-style
-echelon of generator products: truncating every product whose lowest term
-sits at level >= D only disturbs f above D, so pivots below D are exactly
-the valuation values there.  The echelon is fraction-free: generators are
-scaled once to integer coefficients (same pivots), their products are
-taken over the integers, and rows are cross-multiplied.  Everything
-upstream (colength, multiplicity, Lech chain) reduces to staircase
-counting and covolume.
+echelon of generator products: truncating every row at level D only
+disturbs f above D, so pivots below D are exactly the valuation values
+there.  The echelon is the closure of the products under x_i-shifts, cut
+at D.  It is fraction-free: generators are scaled once to integer
+coefficients (same pivots), their products are taken over the integers,
+and rows are cross-multiplied.  Everything upstream (colength,
+multiplicity, Lech chain) reduces to staircase counting and covolume.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import math
@@ -128,6 +129,8 @@ def term_order(ell, tiebreak=None) -> TermOrder:
                          for i in range(n - 1))
     else:
         tiebreak = tuple(tuple(int(x) for x in t) for t in tiebreak)
+    if any(len(t) != n for t in tiebreak):
+        raise ValueError("tiebreak rows must have as many entries as ell")
     if rank((ell,) + tiebreak) != n:
         raise ValueError("order rows must have full rank")
     return TermOrder(ell=ell, tiebreak=tiebreak)
@@ -163,22 +166,6 @@ def good_valuation_certificate(order: TermOrder) -> GoodValuationCertificate:
 # ---------------------------------------------------------------------------
 # Truncated echelon
 # ---------------------------------------------------------------------------
-
-def _points_below(weights, bound: int):
-    """Exponents alpha with weights . alpha < bound (orthant DFS)."""
-    n = len(weights)
-
-    def rec(prefix, idx, budget):
-        if idx == n:
-            yield prefix
-            return
-        step = weights[idx]
-        for v in range((budget - 1) // step + 1):
-            yield from rec(prefix + (v,), idx + 1, budget - v * step)
-
-    if bound > 0:
-        yield from rec((), 0, bound)
-
 
 class _Echelon:
     """Fraction-free sparse elimination with order-minimal pivots.
@@ -237,31 +224,41 @@ class _Echelon:
         return None
 
 
-def _insert_shifts(ech: _Echelon, gens, weights, bound: int) -> None:
-    """Insert each x^alpha * g whose lowest term has weight < bound, cut there.
+def _insert_shifts(ech: _Echelon, gens, bound: int) -> None:
+    """Insert span{x^alpha * g cut at level `bound`} as a closure.
 
-    A shifted term weighs the term's weight plus the weight of alpha.
+    Each generator goes in cut at `bound`; whenever a row becomes a pivot
+    row r, x_i * r cut at `bound` goes in too, for every variable i.  A
+    shift only raises levels, so cutting after it gives the same row as
+    cutting once; pivot rows never change once stored, so their span is
+    closed under the cut shifts, holds every generator, and is the span
+    above.
     """
-    for g in gens:
-        terms = [(e, c, dot(weights, e)) for e, c in g.terms]
-        base = min(w for _, _, w in terms)
-        for alpha in sorted(_points_below(weights, bound - base)):
-            room = bound - dot(weights, alpha)
-            ech.reduce({tuple(map(operator.add, e, alpha)): c
-                        for e, c, w in terms if w < room}, insert=True)
+    ell = ech.order.ell
+    if any(g.n != len(ell) for g in gens):
+        raise ValueError("dimension mismatch")
+    units = [tuple(int(j == i) for j in range(len(ell))) for i in range(len(ell))]
+    rows = collections.deque(
+        {e: c for e, c in g.terms if ech._key(e)[0] < bound} for g in gens)
+    while rows:
+        e = ech.reduce(rows.popleft(), insert=True)
+        if e is not None:
+            for w, unit in zip(ell, units):
+                rows.append({tuple(map(operator.add, k, unit)): v
+                             for k, v in ech.pivots[e].items()
+                             if ech._key(k)[0] + w < bound})
 
 
 def truncated_echelon(gens, order: TermOrder, bound: int) -> frozenset:
     """Pivot exponents of span{x^alpha * g} cut off at level `bound`.
 
-    Products whose lowest term reaches level >= bound are dropped and every
-    row is truncated there; each pivot is the valuation of an actual
-    element, and every valuation value below the certified completeness
-    level appears.
+    The span is the closure that `_insert_shifts` builds; each pivot is the
+    valuation of an actual element, and every valuation value below the
+    certified completeness level appears.
     """
     ech = _Echelon(order)
     gens = [_clear_denominators(g) for g in gens if not g.is_zero]
-    _insert_shifts(ech, gens, order.ell, bound)
+    _insert_shifts(ech, gens, bound)
     return frozenset(ech.pivots)
 
 
@@ -318,7 +315,8 @@ def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
     """Smallest d <= cap with every degree-d monomial in the truncated span.
 
     The test at d certifies m^d inside the ideal modulo m^(d+1); Nakayama
-    upgrades that to m^d inside the ideal.
+    upgrades that to m^d inside the ideal.  Membership does not depend on
+    the elimination order, so the echelon runs in the degree order.
     """
     n = order.n
     zero = (0,) * n
@@ -330,8 +328,8 @@ def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
     degree_order = standard_order(n)
     gens = [_clear_denominators(g) for g in gens]
     for d in range(1, cap + 1):
-        ech = _Echelon(order)
-        _insert_shifts(ech, gens, degree_order.ell, d + 1)
+        ech = _Echelon(degree_order)
+        _insert_shifts(ech, gens, d + 1)
         ok = True
         for beta in iter_points_at_level(lattice_semigroup(orthant(n),
                                                            degree_order.ell), d):

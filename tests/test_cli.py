@@ -211,6 +211,13 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["multiplicity", "--input", str(path)])
     assert code == 2
     assert "input error" in err
+    # zip-truncating a tiebreak row longer than ell would accept it
+    path = write(tmp_path, "order.json", dict(
+        POLY_A, order={"ell": [1, 2], "tiebreak": [[1, 0, 0]]}))
+    code, out, err = run(capsys, ["lech", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "tiebreak" in err
 
 
 def test_missing_file_exit_2(capsys):

@@ -21,7 +21,8 @@ from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                term_order, truncated_echelon, valuation)
 from coconvex.semigroups import (complement_count, ideal_power, power_sequence,
                                  product_sequence, staircase_region, sum_ideals)
-from coconvex.localalg import _initial_pivots, _points_below
+from coconvex.localalg import (_Echelon, _clear_denominators, _initial_pivots,
+                               _power_products)
 from coconvex.regions import minkowski_sum
 from test_linalg import reference_echelon
 
@@ -92,6 +93,8 @@ def test_term_order_requires_positive_full_rank():
         term_order((1, 0))
     with pytest.raises(ValueError):
         term_order((1, 1), [(2, 2)])
+    with pytest.raises(ValueError):
+        term_order((1, 2), [(1, 0, 0)])
     weighted = term_order((2, 3))
     assert weighted.key((1, 1)) > weighted.key((2, 0))  # 5 > 4
 
@@ -104,6 +107,8 @@ def test_mprimary_exponent_examples():
         mprimary_exponent([X], ORD2, cap=6)
     with pytest.raises(ValueError):
         mprimary_exponent([X + monomial(2, (0, 0))], ORD2)
+    with pytest.raises(ValueError):
+        mprimary_exponent([X, Y, monomial(3, (0, 0, 1))], ORD2)
 
 
 def test_truncated_echelon_examples():
@@ -113,6 +118,11 @@ def test_truncated_echelon_examples():
     assert {(1, 0), (0, 3), (1, 1), (2, 0)} <= pivots
     assert not {(0, 0), (0, 1), (0, 2)} & pivots
     assert truncated_echelon([X], ORD2, 2) == frozenset({(1, 0)})
+    # zip-truncating 3-variable generators to a 2-variable order would put
+    # the constant (0, 0) among the pivots
+    with pytest.raises(ValueError):
+        truncated_echelon([monomial(3, (0, 2, 0)), monomial(3, (0, 0, 3))],
+                          term_order((1, 2)), 3)
 
 
 def test_truncated_echelon_cancellation():
@@ -416,6 +426,36 @@ class FractionEchelon:
         return None
 
 
+def _points_below(weights, bound):
+    """Exponents alpha with weights . alpha < bound (orthant DFS)."""
+    n = len(weights)
+
+    def rec(prefix, idx, budget):
+        if idx == n:
+            yield prefix
+            return
+        step = weights[idx]
+        for v in range((budget - 1) // step + 1):
+            yield from rec(prefix + (v,), idx + 1, budget - v * step)
+
+    if bound > 0:
+        yield from rec((), 0, bound)
+
+
+def shift_echelon(gens, order, bound):
+    """Reference truncated echelon: the integer elimination fed every
+    x^alpha * g whose lowest term lies below `bound`, cut there."""
+    ech = _Echelon(order)
+    for g in (_clear_denominators(g) for g in gens if not g.is_zero):
+        terms = [(e, c, order.level(e)) for e, c in g.terms]
+        base = min(w for _, _, w in terms)
+        for alpha in sorted(_points_below(order.ell, bound - base)):
+            room = bound - order.level(alpha)
+            ech.reduce({tuple(map(operator.add, e, alpha)): c
+                        for e, c, w in terms if w < room}, insert=True)
+    return frozenset(ech.pivots)
+
+
 def fraction_truncated_echelon(gens, order, bound):
     ech = FractionEchelon(order)
     for g in gens:
@@ -525,7 +565,8 @@ def test_truncated_echelon_matches_dense_elimination():
     rng = random.Random(89)
     for draw in range(60):
         n = 2 if draw % 3 else 3
-        order = term_order((1, 2)) if draw % 5 == 1 else standard_order(n)
+        order = (term_order((1, 2) + (1,) * (n - 2)) if draw % 5 == 1
+                 else standard_order(n))
         gens = [same_level_poly(rng, n) for _ in range(rng.randint(1, 3))]
         bound = rng.randint(2, 6 if n == 2 else 4)
         assert truncated_echelon(gens, order, bound) == \
@@ -552,6 +593,66 @@ def test_power_pivots_match_fraction_products():
                         itertools.combinations_with_replacement(gens, k)]
             pivots, d0 = _initial_pivots(a, k)
             assert pivots == fraction_truncated_echelon(products, a.order, d0)
+
+
+def far_power_corpus(rng):
+    """Two seeded ideals of each polynomial-lech shape: (x^3, y^2, y^2 +
+    c x^i y^(2-i)), (x^a + tail, y^b + tail) and (x^2, y^3, y^3 + c x y^2)."""
+    def coeff():
+        return Fraction(rng.choice([-5, -3, -2, 2, 3, 5]), rng.randint(1, 4))
+
+    def term(exp):
+        return monomial(2, exp, coeff())
+
+    ideals = []
+    for _ in range(2):
+        i = rng.choice((1, 2))
+        ideals.append([term((3, 0)), term((0, 2)),
+                       term((0, 2)) + term((i, 2 - i))])
+        a, b = rng.choice([(1, 2), (2, 1)])
+        tails = []
+        for lead in ((a, 0), (0, b)):
+            degree = sum(lead) + rng.randint(1, 2)
+            x = rng.randint(0, degree)
+            tails.append(term(lead) + term((x, degree - x)))
+        ideals.append(tails)
+        ideals.append([term((2, 0)), term((0, 3)),
+                       term((0, 3)) + term((1, 2))])
+    return ideals
+
+
+def test_far_power_pivots_match_shift_echelon():
+    # the closure echelon against every x^alpha-shift of every product, at
+    # the far powers the Lech fit asks for and on a 3-variable ideal
+    cases = [(gens, (10, 11, 12)) for gens in far_power_corpus(random.Random(7))]
+    x, y, z = (monomial(3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    cases.append(([x + y * z, y * y, z * z * z], (2, 3)))
+    for gens, powers in cases:
+        a = poly_local_ideal(gens)
+        for k in powers:
+            pivots, d0 = _initial_pivots(a, k)
+            assert pivots == shift_echelon(_power_products(a, k), a.order, d0), \
+                (gens, k)
+
+
+def test_closure_echelon_work_count(monkeypatch):
+    # one reduction per product and per (pivot row, variable) pair;
+    # shift_echelon makes 3,731 on this ideal
+    a = poly_local_ideal([monomial(2, (3, 0)), Y2,
+                          poly2({(0, 2): Fraction(-3, 2), (1, 1): Fraction(5, 4)})])
+    calls = []
+    real = _Echelon.reduce
+
+    def counted(self, row, insert):
+        calls.append(insert)
+        return real(self, row, insert)
+
+    monkeypatch.setattr(_Echelon, "reduce", counted)
+    pivots, _ = _initial_pivots.__wrapped__(a, 12)
+    products = _power_products(a, 12)
+    assert (len(pivots), len(products)) == (288, 91)
+    assert len(calls) <= a.n * len(pivots) + len(products) == 667
+    assert colength_of_power(a, 12) == 378
 
 
 def test_echelon_scale_invariance():
