@@ -1,9 +1,11 @@
 """Strongly convex rational polyhedral cones with dual ray/facet descriptions.
 
 The workhorse is :func:`extreme_rays`, an incremental double-description
-pass with exact integer pivots and the combinatorial adjacency test.  It
-converts between the two descriptions of a pointed cone in either
-direction, since facets of a cone are the extreme rays of its dual.
+pass in integer arithmetic with the combinatorial adjacency test, seeded
+with the integer dual basis of the first linearly independent constraints
+(`linalg.integer_dual_basis`).  It converts between the two descriptions
+of a pointed cone in either direction, since facets of a cone are the
+extreme rays of its dual.
 `dual_description` runs it on the rays projected onto the pivot
 coordinates of their span, so one pass decides both strong convexity and
 full dimension.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotFullDimensional, NotStronglyConvex
-from .linalg import dot, dual_basis, independent_subset, pivot_columns, primitive, rank
+from .linalg import dot, integer_dual_basis, pivot_columns, primitive, rank
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,10 @@ class RationalCone:
 def extreme_rays(constraints, dim: int):
     """Extreme rays of ``{y : a.y >= 0 for a in constraints}``.
 
-    Requires the constraint vectors to span R^dim (so the cone is pointed)
-    and returns sorted primitive integer generators.  Constraints are
-    processed one at a time; new rays come from adjacent positive/negative
-    pairs, with adjacency decided by zero-set inclusion.
+    Requires the constraint vectors to span R^dim (so the cone is pointed;
+    ValueError otherwise) and returns sorted primitive integer generators.
+    Constraints are processed one at a time; new rays come from adjacent
+    positive/negative pairs, with adjacency decided by zero-set inclusion.
     """
     cons = []
     seen = set()
@@ -49,17 +51,14 @@ def extreme_rays(constraints, dim: int):
         if any(x != 0 for x in a) and a not in seen:
             seen.add(a)
             cons.append(a)
-    base = independent_subset(cons, dim)
-    if base is None:
-        raise ValueError("constraints do not span the ambient space")
+    base, _, duals = integer_dual_basis(cons, dim)
     order = base + [i for i in range(len(cons)) if i not in base]
     cons = [cons[i] for i in order]
 
     # The dual basis y_j of the first dim constraints: y_j is tight on
     # every basis constraint except the j-th, where it is positive.
     full = (1 << dim) - 1
-    rays = [(primitive(y), full & ~(1 << j))
-            for j, y in enumerate(dual_basis(cons[:dim]))]
+    rays = [(primitive(y), full & ~(1 << j)) for j, y in enumerate(duals)]
 
     for idx in range(dim, len(cons)):
         a = cons[idx]

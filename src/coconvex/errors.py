@@ -46,7 +46,7 @@ class ZeroPolynomial(CoconvexError):
 
 
 class MonotonicityViolation(CoconvexError):
-    """A certified non-increasing sequence increased; implementation bug."""
+    """A certified bound between sequence terms failed; implementation bug."""
 
 
 class InvariantViolation(CoconvexError):

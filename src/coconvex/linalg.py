@@ -1,17 +1,16 @@
-"""Exact linear algebra over the rationals on plain tuples.
+"""Exact linear algebra on plain tuples.
 
 Vectors are tuples of ``int`` or ``fractions.Fraction``; matrices are
 sequences of row tuples.  Everything here is pure and allocation-light;
 no floating point is used anywhere.
 
-There is one Gaussian elimination, :func:`_eliminate`, over ``Fraction``
-rows: it inserts the rows in order, reduces each by the pivot rows kept so
-far, and records each kept row's input index and pivot column.  `rank`,
-`pivot_columns`, `independent_subset`, `det`, `solve`, `nullspace` and
-`dual_basis` only read its result; a right-hand side rides along as an
-extra column, and several right-hand sides are read off one kernel
-(A X = B is the kernel of [A | -B] over the identity), so each matrix is
-eliminated once.
+There is one Gaussian elimination over ``Fraction`` rows, :func:`_eliminate`:
+it inserts the rows in order, reduces each by the pivot rows kept so far,
+and records each kept row's input index and pivot column.  `rank`,
+`pivot_columns`, `det`, `solve` and `nullspace` only read its result; a
+right-hand side rides along as an extra column.  Integer dual bases, for
+the double-description pass and lattice cosets, come from one integer
+pass instead, the fraction-free :func:`integer_dual_basis`.
 """
 
 from __future__ import annotations
@@ -103,12 +102,6 @@ def pivot_columns(rows) -> list:
     return sorted(col for _, col, _ in _eliminate(rows))
 
 
-def independent_subset(rows, size: int):
-    """Indices of `size` linearly independent rows, or None if rank < size."""
-    chosen = [i for i, _, _ in _eliminate(rows)]
-    return chosen[:size] if len(chosen) >= size else None
-
-
 def det(rows) -> Fraction:
     """Determinant of a square matrix: the product of the pivots times the
     sign of the pivot-column permutation."""
@@ -158,14 +151,34 @@ def nullspace(rows):
     return basis
 
 
-def dual_basis(rows):
-    """Vectors y_j with rows[i] . y_j = [i == j] for a nonsingular square
-    matrix (the columns of its inverse), read off one kernel of [A | -I].
+def integer_dual_basis(rows, n: int):
+    """Fraction-free Gauss-Jordan (Bareiss-Montante) on [A | I], where A is
+    the first n linearly independent integer rows of length n.
+
+    Returns their indices, D = |det A| and the integer y_j with
+    A_i . y_j = D [i == j].  With k rows kept at pivot p, each holds p on
+    its pivot column and 0 on the others', so p r - sum r[c_i] K_i reduces
+    a new row r to minors of order k + 1, and every (q a - f b) // p is
+    exact.  Raises ValueError when the rows have rank below n.
     """
-    n = len(rows)
-    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    kernel = nullspace([tuple(r) + tuple(-e for e in u) for r, u in zip(rows, eye)])
-    # The kernel is {(y, A y)}: its last n coordinates span only the range of A.
-    if [v[n:] for v in kernel] != eye:
-        raise ValueError("matrix is singular")
-    return [v[:n] for v in kernel]
+    kept, p = [], 1
+    for i, r in enumerate(rows):
+        new = [p * a for a in r] + [0] * n
+        new[n + len(kept)] = p
+        for _, c, row in kept:
+            if r[c]:
+                new = [a - r[c] * b for a, b in zip(new, row)]
+        col = next((j for j in range(n) if new[j]), None)
+        if col is not None:
+            q = new[col]
+            kept = [(k, c, [(q * a - row[col] * b) // p for a, b in zip(row, new)])
+                    for k, c, row in kept] + [(i, col, new)]
+            p = q
+            if len(kept) == n:
+                break
+    else:
+        raise ValueError("rows do not span the ambient space")
+    adj = {c: row[n:] for _, c, row in kept}
+    sign = 1 if p > 0 else -1
+    return ([i for i, _, _ in kept], abs(p),
+            [tuple(sign * adj[c][j] for c in range(n)) for j in range(n)])

@@ -89,15 +89,17 @@ def homogenized_hull(points, rays, n: int):
     lifted with 0.  Returns the sorted (normal, offset) pairs, meaning
     normal.x >= offset with primitive integer normals, and, in input order,
     the points at which the tight facets have rank n: for points of the
-    polyhedron these are exactly its vertices.
+    polyhedron these are exactly its vertices.  A point lifts once to a
+    primitive integer q, at which a facet f is tight when f . q = 0.
     """
-    lifted = [tuple(p) + (1,) for p in points] + [tuple(r) + (0,) for r in rays]
+    lifted = [primitive(tuple(p) + (1,)) for p in points]
+    normals = extreme_rays(lifted + [tuple(r) + (0,) for r in rays], n + 1)
     # A zero spatial normal is the lifted cone's facet t >= 0, not a facet
     # of the polyhedron; drop it.
-    halfspaces = tuple(sorted((f[:n], Fraction(-f[n]))
-                              for f in extreme_rays(lifted, n + 1) if any(f[:n])))
-    vertices = tuple(p for p in points
-                     if rank([u for u, c in halfspaces if dot(u, p) == c]) == n)
+    facets = [f for f in normals if any(f[:n])]
+    halfspaces = tuple(sorted((f[:n], Fraction(-f[n])) for f in facets))
+    vertices = tuple(p for p, q in zip(points, lifted)
+                     if rank([f[:n] for f in facets if dot(f, q) == 0]) == n)
     return halfspaces, vertices
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cones import RationalCone, is_positive_on_cone, orthant
 from .errors import (ConeMismatch, InvariantViolation, NotCobounded, NotPrimary,
                      WrongArity)
-from .linalg import det, dot, dual_basis, primitive, vec_sub
+from .linalg import dot, integer_dual_basis, primitive, vec_sub
 from .polytopes import triangulate_points
 from .regions import NewtonRegion, covol, minkowski_sum, mixed_covol, newton_region
 
@@ -140,17 +140,17 @@ def sum_ideals(a: SemigroupIdealSet, b: SemigroupIdealSet) -> SemigroupIdealSet:
 def _cosets(rays: tuple):
     """The cosets of the lattice spanned by n primitive rays r_i in Z^n.
 
-    With D = |det R| and integer adjugate rows a_j (a_j . r_i = D [i == j]),
-    every lattice point x is b + sum mu_j r_j with mu_j = floor(a_j . x / D),
-    where b lies in the half-open parallelepiped: 0 <= a_j . b < D.  The
-    residues c = (a_j . x mod D) form Z^n / R Z^n, a group of order D
-    generated by the images of the unit vectors, so it is closed from 0 by
-    adding those, one step per coset and unit vector.  Returns D, the
-    adjugate rows and the (c, b) pairs; b = sum c_j r_j / D.
+    With D = |det R| and integer adjugate rows a_j (a_j . r_i = D [i == j],
+    from `linalg.integer_dual_basis`), every lattice point x is
+    b + sum mu_j r_j with mu_j = floor(a_j . x / D), where b lies in the
+    half-open parallelepiped: 0 <= a_j . b < D.  The residues
+    c = (a_j . x mod D) form Z^n / R Z^n, a group of order D generated by
+    the images of the unit vectors, so it is closed from 0 by adding those,
+    one step per coset and unit vector.  Returns D, the adjugate rows and
+    the (c, b) pairs; b = sum c_j r_j / D.
     """
     n = len(rays)
-    d = int(abs(det(rays)))
-    adj = [tuple(int(d * x) for x in y) for y in dual_basis(rays)]
+    _, d, adj = integer_dual_basis(rays, n)
     steps = [tuple(a[i] % d for a in adj) for i in range(n)]
     seen = {(0,) * n}
     stack = list(seen)

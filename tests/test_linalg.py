@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from coconvex.linalg import (det, dot, dual_basis, independent_subset,
-                             nullspace, pivot_columns, primitive, rank,
-                             scale_to_int, solve)
+from coconvex.linalg import (det, dot, integer_dual_basis, nullspace,
+                             pivot_columns, primitive, rank, scale_to_int,
+                             solve)
 
 
 # Reference oracles: one separate Gaussian elimination per question, kept
@@ -73,6 +73,19 @@ def reference_det(rows) -> Fraction:
                 for j in range(col, n):
                     m[i][j] -= c * m[col][j]
     return sign * result
+
+
+def dual_basis(rows):
+    """Vectors y_j with rows[i] . y_j = [i == j] for a nonsingular square
+    matrix (the columns of its inverse), read off one kernel of [A | -I].
+    """
+    n = len(rows)
+    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    kernel = nullspace([tuple(r) + tuple(-e for e in u) for r, u in zip(rows, eye)])
+    # The kernel is {(y, A y)}: its last n coordinates span only the range of A.
+    if [v[n:] for v in kernel] != eye:
+        raise ValueError("matrix is singular")
+    return [v[:n] for v in kernel]
 
 
 def reference_solve(rows, rhs):
@@ -152,9 +165,10 @@ def test_det_known():
 def test_rank_and_independent_subset():
     rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 2)]
     assert rank(rows) == 3
-    idx = independent_subset(rows, 3)
-    assert idx == [0, 1, 3]
-    assert independent_subset(rows[:3], 3) is None
+    assert integer_dual_basis(rows, 3) == ([0, 1, 3], 2, [(2, 0, 0), (0, 2, 0),
+                                                          (0, 0, 1)])
+    with pytest.raises(ValueError):
+        integer_dual_basis(rows[:3], 3)
 
 
 def test_solve_square_and_inconsistent():
@@ -218,9 +232,6 @@ def test_kernel_matches_reference_eliminations():
         cols = pivot_columns(rows)
         assert cols == sorted(col for col, _ in reference_echelon(rows))
         assert reference_rank([tuple(row[j] for j in cols) for row in rows]) == r
-        for size in range(1, m + 1):
-            assert independent_subset(rows, size) == \
-                reference_independent_subset(rows, size), (rows, size)
         if m == n:
             assert det(rows) == reference_det(rows), rows
             seen["singular"] += r < n
@@ -232,14 +243,31 @@ def test_kernel_matches_reference_eliminations():
     assert min(seen.values()) >= 100, seen
 
 
-def test_dual_basis_is_the_inverse():
+def test_integer_dual_basis_matches_dual_basis():
+    """The fraction-free pass picks the reference's independent rows, and
+    its D and dual vectors are |det| and D times the reference inverse:
+    A y_j = D e_j, and the primitive y_j are the primitive dual vectors."""
     rng = random.Random(6)
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        rows = [tuple(_entry(rng) for _ in range(n)) for _ in range(n)]
-        if reference_det(rows) == 0:
+    seen = {"singular": 0, "zero_lead": 0, "dropped_row": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.choice([0, 0, rng.randint(-6, 6)]) for _ in range(n))
+                for _ in range(n + rng.choice([0, 0, 1, 2]))]
+        base = reference_independent_subset(rows, n)
+        if base is None:
+            seen["singular"] += 1
             with pytest.raises(ValueError):
-                dual_basis(rows)
+                integer_dual_basis(rows, n)
             continue
-        eye = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        assert dual_basis(rows) == [reference_solve(rows, e) for e in eye]
+        chosen, d, duals = integer_dual_basis(rows, n)
+        assert chosen == base, rows
+        a = [rows[i] for i in chosen]
+        seen["zero_lead"] += a[0][0] == 0
+        seen["dropped_row"] += chosen != list(range(n))
+        assert d == abs(reference_det(a)), rows
+        assert all(type(x) is int for y in duals for x in y), rows
+        assert [[dot(r, y) for y in duals] for r in a] == \
+            [[d * (i == j) for j in range(n)] for i in range(n)], rows
+        assert [primitive(y) for y in duals] == \
+            [primitive(y) for y in dual_basis(a)], rows
+    assert min(seen.values()) >= 100, seen

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coconvex.errors import NotPrimaryWithinCap, ZeroPolynomial
+from coconvex import localalg
+from coconvex.errors import MonotonicityViolation, NotPrimaryWithinCap, ZeroPolynomial
 from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                good_valuation_certificate, hilbert_samuel,
                                initial_semigroup_ideal, lech_chain,
@@ -248,6 +249,27 @@ def test_lech_chain_examples():
     chain = lech_chain(monomial_ideal([(1, 0), (0, 1)]))
     assert (chain.e_upper, chain.e_in, chain.bound) == (1, 1, 2)
     assert chain.holds
+
+
+def test_multiplicity_report_u_sequence_may_rise():
+    """u_k = e(in(a^k))/k^n need only satisfy u_k <= u_j for divisors j of
+    k: here u_5 > u_4, no divisor check fails, and every u_k bounds e(a),
+    so e_upper is the least of them."""
+    a = poly_local_ideal([monomial(2, (2, 0), Fraction(2, 3)) + Y3,
+                          monomial(2, (1, 2)) + monomial(2, (0, 4), Fraction(-1, 2))],
+                         order=term_order((2, 3)))
+    report = multiplicity_report(a, 5, fit_depth=6)
+    assert report.u_values == (9, 8, 8, Fraction(59, 8), Fraction(186, 25))
+    assert report.e_upper == Fraction(59, 8)
+
+
+def test_multiplicity_report_checks_divisors(monkeypatch):
+    """u_3 > u_2 is allowed, but u_4 > u_2 breaks the divisor bound."""
+    e_in = iter([9, 7 * 4, 8 * 9, Fraction(15, 2) * 16])
+    monkeypatch.setattr(localalg, "_staircase_multiplicity",
+                        lambda staircase: next(e_in))
+    with pytest.raises(MonotonicityViolation, match="divisor 2"):
+        multiplicity_report(poly_local_ideal([X + Y2, Y3]), 4)
 
 
 def test_u_sequence_non_increasing_corpus():

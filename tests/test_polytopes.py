@@ -8,13 +8,15 @@ from fractions import Fraction
 import pytest
 
 from coconvex.errors import DegeneratePolytope
-from coconvex.linalg import (det, dot, independent_subset, nullspace, primitive,
+from coconvex.cones import extreme_rays
+from coconvex.linalg import (det, dot, nullspace, primitive,
                              rank, vec_sub)
-from coconvex.polytopes import (RationalPolytope, _hull_full_dim, hull_vertices,
+from coconvex.polytopes import (RationalPolytope, _hull_full_dim,
+                                homogenized_hull, hull_vertices,
                                 polytope_volume, triangulate,
                                 vertices_from_halfspaces)
 from lp import nonnegative_combination
-from test_linalg import reference_echelon
+from test_linalg import reference_echelon, reference_independent_subset
 
 
 def sort_ccw(points):
@@ -256,7 +258,7 @@ def _normalize_halfspace(u, c):
 
 def _affine_chart(p0, diffs, d):
     """Basis of the affine hull plus an exact left inverse for coordinates."""
-    idx = independent_subset(diffs, d)
+    idx = reference_independent_subset(diffs, d)
     basis = [diffs[i] for i in idx]  # d vectors in R^n
     # Left inverse L = G^-1 B with G = B B^T the Gram matrix: G L = B, so
     # the c-th kernel vector of [G | -B] is (column c of L, e_c).
@@ -403,3 +405,43 @@ def test_projection_matches_affine_chart():
             assert _measure(triangulate(poly), cols) == \
                 _measure(ref_simplices, cols), pts
     assert degenerate >= 500, degenerate
+
+
+def fraction_homogenized_hull(points, rays, n):
+    """Reference for `homogenized_hull`: the same double-description pass,
+    with each point tested against the offsets by Fraction dot products."""
+    lifted = [tuple(p) + (1,) for p in points] + [tuple(r) + (0,) for r in rays]
+    halfspaces = tuple(sorted((f[:n], Fraction(-f[n]))
+                              for f in extreme_rays(lifted, n + 1) if any(f[:n])))
+    vertices = tuple(p for p in points
+                     if rank([u for u, c in halfspaces if dot(u, p) == c]) == n)
+    return halfspaces, vertices
+
+
+def test_integer_vertex_test_matches_fraction_offsets():
+    """Lifting each point to a primitive integer vector and testing f . q = 0
+    finds the same halfspaces and vertices as the Fraction offset test, on
+    rational point sets (denominators up to 4) alone, plus the orthant and
+    plus a skew cone, in dimensions 2 and 3."""
+    rng = random.Random(31)
+    ray_sets = {2: [(), ((1, 0), (0, 1)), ((1, 0), (1, 2)), ((-1, 2), (2, -1))],
+                3: [(), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                    ((1, 0, 0), (0, 1, 0), (1, 1, 3)),
+                    ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))]}
+    kept = dropped = 0
+    for case in range(600):
+        n = 2 + case % 2
+        rays = ray_sets[n][case // 2 % 4]
+        pts = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+               for _ in range(rng.randint(1 if rays else n + 1, 8))]
+        try:
+            expected = fraction_homogenized_hull(pts, rays, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                homogenized_hull(pts, rays, n)
+            continue
+        halfspaces, vertices = homogenized_hull(pts, rays, n)
+        assert (halfspaces, vertices) == expected, (pts, rays)
+        kept += len(vertices)
+        dropped += len(pts) - len(vertices)
+    assert kept >= 1000 and dropped >= 500, (kept, dropped)

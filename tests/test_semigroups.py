@@ -11,7 +11,7 @@ from coconvex.cones import dual_description, orthant
 from coconvex.errors import (ConeMismatch, InvariantViolation, NotFullDimensional,
                              NotPrimary)
 from coconvex.fitting import stabilized_leading
-from coconvex.linalg import det, dot, dual_basis, primitive, vec_sub
+from coconvex.linalg import dot, integer_dual_basis, primitive, vec_sub
 from coconvex.polytopes import triangulate_points
 from coconvex.regions import covol, minkowski_sum
 from coconvex.semigroups import (complement_count, complement_points,
@@ -24,6 +24,7 @@ from coconvex.semigroups import (complement_count, complement_points,
                                  primary_certificate, product_sequence,
                                  semigroup_ideal, sequence_t0, staircase_region,
                                  sum_ideals, _coset_complement)
+from test_linalg import dual_basis
 
 S2 = lattice_semigroup(orthant(2))
 S3 = lattice_semigroup(orthant(3))
@@ -313,8 +314,12 @@ def test_thin_cone_complement_from_cosets(monkeypatch):
 
 def test_coset_enumeration_checks_the_index(monkeypatch):
     """A wrong determinant finds the cosets of another index and raises."""
+    def doubled(rows, n):
+        chosen, d, duals = integer_dual_basis(rows, n)
+        return chosen, 2 * d, duals
+
     semigroups._cosets.cache_clear()
-    monkeypatch.setattr(semigroups, "det", lambda rows: 2 * det(rows))
+    monkeypatch.setattr(semigroups, "integer_dual_basis", doubled)
     ideal = semigroup_ideal(lattice_semigroup(dual_description([(1, 0), (1, 5)])),
                             [(2, 0), (2, 10)])
     try:
