@@ -127,12 +127,11 @@ def _cmd_newton(args) -> int:
 
 
 def _ideal_list(data):
-    if not isinstance(data, dict) or "ideals" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("ideals"), list):
         raise InputFormatError('expected {"ideals": [...]}')
-    ideals = [monomial_ideal_from_json(entry) for entry in data["ideals"]]
-    if not ideals:
+    if not data["ideals"]:
         raise InputFormatError("need at least one ideal")
-    return ideals
+    return [monomial_ideal_from_json(entry) for entry in data["ideals"]]
 
 
 def _cmd_mixed(args) -> int:

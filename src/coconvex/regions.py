@@ -26,7 +26,8 @@ from .polytopes import homogenized_hull, hull_vertices, triangulate_points
 class NewtonRegion:
     """Region conv(generators) + cone, with facets and certified threshold.
 
-    `generators` is pruned to the vertex set of the region; `facets` are
+    `generators` is pruned to the vertex set of the region, with integral
+    coordinates as ``int`` and the others as ``Fraction``; `facets` are
     (normal, offset) pairs meaning normal.x >= offset, normals primitive
     integer; `threshold` T certifies cone & {ell >= T} inside the region.
     """
@@ -62,7 +63,8 @@ def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     generator, hence in the region.  Vertices are the generators at which
     the tight facets have rank n.  Raises ValueError on malformed input.
     """
-    gens = sorted({tuple(Fraction(x) for x in g) for g in generators})
+    gens = sorted({tuple(q.numerator if q.denominator == 1 else q
+                         for q in map(Fraction, g)) for g in generators})
     if not gens:
         raise ValueError("need at least one generator")
     n = cone.dim

@@ -218,6 +218,15 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "tiebreak" in err
+    # "ideals" must be a nonempty array: a number is not iterable and a
+    # string would be walked one character at a time
+    for payload in ({"ideals": 3}, {"ideals": "ab"}, {"ideals": []}):
+        path = write(tmp_path, "ideals.json", payload)
+        for command in ("mixed", "bk"):
+            code, out, err = run(capsys, [command, "--input", path])
+            assert code == 2, (command, payload)
+            assert out == ""
+            assert "input error" in err
 
 
 def test_missing_file_exit_2(capsys):

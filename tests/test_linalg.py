@@ -209,7 +209,12 @@ def test_solve_round_trip(flat, rhs):
     assert [dot(row, x) for row in m] == [Fraction(b) for b in rhs]
 
 
-def _entry(rng):
+def _entry(rng, big):
+    """Small entries, or with `big` large numerators and denominators,
+    which drive entry growth in the fraction-free pass and the division
+    by the row scales in `det`."""
+    if big and rng.random() < 0.5:
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 97))
     if rng.random() < 0.3:
         return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
     return rng.choice([0, 0, rng.randint(-4, 4)])
@@ -217,14 +222,18 @@ def _entry(rng):
 
 def test_kernel_matches_reference_eliminations():
     rng = random.Random(5)
-    seen = {"singular": 0, "inconsistent": 0, "rank_deficient": 0}
+    seen = {"singular": 0, "inconsistent": 0, "rank_deficient": 0, "big": 0}
     for _ in range(2500):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [tuple(_entry(rng) for _ in range(n)) for _ in range(m)]
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.3:
+            m = n
+        big = rng.random() < 0.2
+        seen["big"] += big
+        rows = [tuple(_entry(rng, big) for _ in range(n)) for _ in range(m)]
         if m >= 3 and rng.random() < 0.4:
             i, j, k = rng.sample(range(m), 3)
             rows[k] = tuple(a + b for a, b in zip(rows[i], rows[j]))
-        rhs = [_entry(rng) for _ in range(m)]
+        rhs = [_entry(rng, big) for _ in range(m)]
         r = rank(rows)
         assert r == reference_rank(rows)
         # The reference echelon's pivots, and the row span projects

@@ -9,6 +9,7 @@ from coconvex.cones import dual_description, orthant
 from coconvex.errors import (ConeMismatch, NonpositiveScalar, NotCobounded,
                              WrongArity)
 from coconvex.fitting import fit_homogeneous_pair
+from coconvex.jsonio import region_to_json
 from coconvex.linalg import dot
 from coconvex.localalg import monomial_ideal
 from coconvex.polytopes import (hull_vertices, polytope_volume,
@@ -299,3 +300,25 @@ def test_custom_cone_region():
     # complement is the triangle (0,0),(1,0),(1,2) minus nothing: vertices
     # of the region are the two boundary generators
     assert covol(region) == 1
+
+
+def test_integral_coordinates_stay_integers():
+    """Integral coordinates are kept as int; 3 == Fraction(3) with equal
+    hashes, so the region, its covol cache entry and its JSON do not
+    depend on how the generators were given."""
+    ints = region2([(3, 0), (0, 2)])
+    fracs = region2([(Fraction(3), Fraction(0)), (Fraction(0), Fraction(2))])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert all(type(x) is int for g in fracs.generators for x in g)
+    covol(ints)
+    hits = covol.cache_info().hits
+    assert covol(fracs) == 3
+    assert covol.cache_info().hits == hits + 1
+    expected = {"cone_rays": [[0, 1], [1, 0]],
+                "generators": [["0", "2"], ["3", "0"]], "ell": ["1", "1"]}
+    assert region_to_json(ints) == region_to_json(fracs) == expected
+    half = region2([(Fraction(3, 2), 0), (0, Fraction(4, 2))])
+    assert half.generators == ((0, 2), (Fraction(3, 2), 0))
+    assert [[type(x) for x in g] for g in half.generators] == \
+        [[int, int], [Fraction, int]]
+    assert region_to_json(half)["generators"] == [["0", "2"], ["3/2", "0"]]

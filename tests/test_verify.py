@@ -1,5 +1,6 @@
 """Instance generation determinism and the verification suites."""
 
+import hashlib
 import json
 
 from coconvex.cones import dual_description
@@ -123,3 +124,37 @@ def test_polynomiality_suite_structure():
     for inst in report.instances:
         assert inst["residual_zero"]
         assert inst["grid"]["0,0"] == "0"
+
+
+# SHA-256 of the canonical report bytes of each suite at seed 7, five
+# instances, exponent bound 6.  Any change to an exact value, to the
+# instance stream or to the report layout changes a digest.
+VERIFY_DIGESTS = {
+    (2, "bm-covol"):
+        "63b5cad9fc0f80df394e0d0bc4ccdeda32bf0d5644f6ba65fb77885a756ad454",
+    (2, "af-covol"):
+        "40d362f7e1d7c7ee1472abe608c0cbc572d6148afa37d6fdbcf33b2a1fc93431",
+    (2, "bm-mult"):
+        "d27f789b68ed5a6e0c467f37e57381965c3db62c3a12dfa6a1664e00bcd6ce2f",
+    (2, "lech"):
+        "7cfc6be870d0dd26a9d521430b89010a341b86faae33b2209a2b9743b61f91d5",
+    (2, "polynomiality"):
+        "f9d10c6d6245a3122904e5107a107d6739c1477912e691e010ce846492d6850f",
+    (3, "bm-covol"):
+        "16c78bff77ded3101a66da3678dad81db83fc0b530c1b13fe397d6e8af5046d8",
+    (3, "af-covol"):
+        "516f553250a171ed8b1aa573f6d31a72f07b62d72fb99177b94603f1308ffb1d",
+    (3, "bm-mult"):
+        "0f799925f99643436bc009148ff709f5d93b44b92a0e8304d7dff639dbe00241",
+    (3, "lech"):
+        "22e02ff3f91ba1d6bea3dca3193916d6f27cc2d9786541760b5812a71a83b546",
+    (3, "polynomiality"):
+        "9b802a78b5f870d3e69a1ec0656ec205a31927e4cb35f2d1a96319acde8791d7",
+}
+
+
+def test_verify_reports_pinned():
+    for (dimension, suite), digest in VERIFY_DIGESTS.items():
+        spec = InstanceSpec(dimension=dimension, seed=7, exponent_bound=6)
+        report = SUITES[suite](spec, 5).canonical_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest, (dimension, suite)
