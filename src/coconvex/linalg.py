@@ -31,6 +31,11 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
+def exact_vector(u) -> tuple:
+    """u with its integral entries as ``int`` and the others as ``Fraction``."""
+    return tuple(q.numerator if q.denominator == 1 else q for q in map(Fraction, u))
+
+
 def is_zero(u) -> bool:
     return all(a == 0 for a in u)
 

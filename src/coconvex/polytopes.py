@@ -6,8 +6,8 @@ A lower-dimensional point set gets coordinates in one way only: it is
 projected onto the pivot coordinates of its affine span
 (`linalg.pivot_columns`), where the projection is injective, handled
 there as a full-dimensional polytope, and mapped back point by point.
-Facets of a polytope and Newton-diagram faces are triangulated the same
-way.  A lower-dimensional polytope has volume zero.
+Faces are triangulated by pulling over facet incidences, with no further
+hull.  A lower-dimensional polytope has volume zero.
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ from fractions import Fraction
 
 from .errors import DegeneratePolytope, InvariantViolation
 from .cones import extreme_rays
-from .linalg import det, dot, nullspace, pivot_columns, primitive, rank, vec_sub
+from .linalg import (det, dot, exact_vector, nullspace, pivot_columns, primitive,
+                     rank, vec_sub)
 
 
 @dataclass(frozen=True)
 class RationalPolytope:
     """Bounded polytope with matching V- and H-representations.
 
-    `vertices` are sorted Fraction tuples; `halfspaces` are sorted pairs
+    `vertices` are sorted `exact_vector` tuples; `halfspaces` are sorted pairs
     (normal, offset) with primitive integer normal, meaning normal.x >= offset.
     Affine-hull equations of degenerate polytopes appear as opposite pairs.
     """
@@ -39,8 +40,8 @@ class RationalPolytope:
         return all(dot(u, point) >= c for u, c in self.halfspaces)
 
 
-def _as_fraction_points(points):
-    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+def _exact_points(points):
+    pts = sorted({exact_vector(p) for p in points})
     if not pts:
         raise ValueError("need at least one point")
     n = len(pts[0])
@@ -63,7 +64,7 @@ def hull_vertices(points) -> RationalPolytope:
     pivot coordinates of its affine span; its facet normals are zero-padded
     back to R^n and the equations of the span are added.
     """
-    pts, n = _as_fraction_points(points)
+    pts, n = _exact_points(points)
     cols, backmap = _project(pts)
     if len(cols) == n:
         return _hull_full_dim(pts, n)
@@ -129,33 +130,46 @@ def vertices_from_halfspaces(halfspaces, dim: int):
     return sorted(vertices)
 
 
+def pull_simplices(face, d, tight):
+    """Triangulation by pulling of a d-face of a polyhedron, as index tuples.
+
+    `face` is a frozenset of vertex indices, and `tight` holds one per
+    facet of the polyhedron.  The face's facets are the maximal proper
+    sets face & t; v0 = min(face) is joined to each simplex of those missing v0.
+    """
+    if len(face) <= d:
+        raise InvariantViolation(f"a {d}-face has only {len(face)} vertices")
+    if len(face) == d + 1:
+        return [tuple(sorted(face))]
+    v0 = min(face)
+    cuts = [f for f in dict.fromkeys(face & t for t in tight) if f < face]
+    return [(v0,) + simplex for f in cuts
+            if v0 not in f and not any(f < g for g in cuts)
+            for simplex in pull_simplices(f, d - 1, tight)]
+
+
 def triangulate(poly: RationalPolytope):
     """Deterministic triangulation into simplices (tuples of vertex points).
 
-    A full-dimensional polytope is cut into pyramids from its
-    lexicographically smallest vertex over the facets not containing it,
-    each facet triangulated by `triangulate_points`; a lower-dimensional
-    one is triangulated by `triangulate_points`, and a point has no
-    simplex.
+    A full-dimensional polytope is pulled over the tight sets of its
+    halfspaces, a lower-dimensional one through `triangulate_points`.
     """
     if poly.affine_dim < poly.dim:
         return triangulate_points(poly.vertices)
-    if poly.dim == 1:
-        return [poly.vertices]
-    v0 = poly.vertices[0]
-    return [(v0,) + simplex for u, c in poly.halfspaces if dot(u, v0) != c
-            for simplex in triangulate_points(
-                [v for v in poly.vertices if dot(u, v) == c])]
+    tight = [frozenset(i for i, v in enumerate(poly.vertices) if dot(u, v) == c)
+             for u, c in poly.halfspaces]
+    return [tuple(poly.vertices[i] for i in s) for s in
+            pull_simplices(frozenset(range(len(poly.vertices))), poly.dim, tight)]
 
 
 def triangulate_points(points):
     """Triangulation of conv(points) into simplices of input points.
 
     The points are projected onto the pivot coordinates of their affine
-    span, where the projection is injective, hulled and triangulated
-    there, and each simplex is mapped back point by point.
+    span, where the projection is injective, hulled once and triangulated
+    there by `triangulate`, and each simplex is mapped back point by point.
     """
-    cols, backmap = _project(_as_fraction_points(points)[0])
+    cols, backmap = _project(_exact_points(points)[0])
     if not cols:
         return []
     sub = _hull_full_dim(sorted(backmap), len(cols))
@@ -169,9 +183,5 @@ def polytope_volume(poly: RationalPolytope, degenerate_ok: bool = False) -> Frac
             return Fraction(0)
         raise DegeneratePolytope(
             f"polytope has affine dimension {poly.affine_dim} < {poly.dim}")
-    total = Fraction(0)
-    for simplex in triangulate(poly):
-        base = simplex[0]
-        mat = [vec_sub(v, base) for v in simplex[1:]]
-        total += abs(det(mat))
-    return total / math.factorial(poly.dim)
+    total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]])) for s in triangulate(poly))
+    return Fraction(total) / math.factorial(poly.dim)

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .cones import RationalCone, is_positive_on_cone
 from .errors import ConeMismatch, NonpositiveScalar, NotCobounded, WrongArity
-from .linalg import det, dot, primitive
-from .polytopes import homogenized_hull, hull_vertices, triangulate_points
+from .linalg import det, dot, exact_vector, primitive
+from .polytopes import homogenized_hull, hull_vertices, pull_simplices
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     generator, hence in the region.  Vertices are the generators at which
     the tight facets have rank n.  Raises ValueError on malformed input.
     """
-    gens = sorted({tuple(q.numerator if q.denominator == 1 else q
-                         for q in map(Fraction, g)) for g in generators})
+    gens = sorted({exact_vector(g) for g in generators})
     if not gens:
         raise ValueError("need at least one generator")
     n = cone.dim
@@ -95,15 +94,14 @@ def covol(region: NewtonRegion) -> Fraction:
 
     The body is the union of the pyramids from the origin over the bounded
     facets of the region, so the covolume is the sum of |det(simplex)| / n!
-    over a triangulation of each bounded facet's generators
-    (`triangulate_points`); no hull of a facet is built first.  In
+    over a triangulation of each bounded facet, pulled over the region's
+    own facet incidences (`pull_simplices`) with no hull built.  In
     dimension 1 the facet is the single point (g,) and the covolume is g.
     """
-    total = Fraction(0)
-    for verts in _bounded_facet_vertices(region):
-        simplices = [verts] if region.dim == 1 else triangulate_points(verts)
-        total += sum(abs(det(simplex)) for simplex in simplices)
-    return total / math.factorial(region.dim)
+    tight, bounded = _facet_incidences(region)
+    total = sum(abs(det([region.generators[i] for i in simplex])) for face in bounded
+                for simplex in pull_simplices(face, region.dim - 1, tight))
+    return Fraction(total) / math.factorial(region.dim)
 
 
 def coconvex_body(region: NewtonRegion) -> CoconvexBody:
@@ -136,17 +134,19 @@ def cone_region(cone: RationalCone, ell) -> NewtonRegion:
     return newton_region(cone, [tuple(0 for _ in range(cone.dim))], ell)
 
 
-def _bounded_facet_vertices(region: NewtonRegion):
-    """The generators on each facet whose normal is strictly positive on
-    the cone: the bounded facets of the region."""
-    return [[v for v in region.generators if dot(u, v) == c]
-            for u, c in region.facets
-            if all(dot(u, r) > 0 for r in region.cone.rays)]
+def _facet_incidences(region: NewtonRegion):
+    """Generator index sets of the facets and of the bounded facets."""
+    tight = [frozenset(i for i, g in enumerate(region.generators) if dot(u, g) == c)
+             for u, c in region.facets]
+    bounded = [face for (u, _), face in zip(region.facets, tight)
+               if all(dot(u, r) > 0 for r in region.cone.rays)]
+    return tight, bounded
 
 
 def newton_diagram(region: NewtonRegion):
     """Bounded faces of the region, as polytopes."""
-    return [hull_vertices(verts) for verts in _bounded_facet_vertices(region)]
+    return [hull_vertices([region.generators[i] for i in face])
+            for face in _facet_incidences(region)[1]]
 
 
 def mixed_covol(regions) -> Fraction:

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from coconvex.errors import DegeneratePolytope
+from coconvex.errors import DegeneratePolytope, InvariantViolation
 from coconvex.cones import extreme_rays
 from coconvex.linalg import (det, dot, nullspace, primitive,
                              rank, vec_sub)
 from coconvex.polytopes import (RationalPolytope, _hull_full_dim,
                                 homogenized_hull, hull_vertices,
-                                polytope_volume, triangulate,
+                                polytope_volume, pull_simplices, triangulate,
                                 vertices_from_halfspaces)
 from lp import nonnegative_combination
 from test_linalg import reference_echelon, reference_independent_subset
@@ -242,6 +242,39 @@ def test_triangulation_covers_volume():
     tri = triangulate(poly)
     total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]])) for s in tri)
     assert Fraction(total, 6) == polytope_volume(poly)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cube_triangulation_is_n_factorial_unit_simplices(n):
+    """Pulling {0,1}^n from the origin gives the staircase triangulation:
+    n! simplices, each of normalized volume 1."""
+    simplices = triangulate(hull_vertices(itertools.product([0, 1], repeat=n)))
+    assert len(simplices) == math.factorial(n)
+    assert all(abs(det([vec_sub(v, s[0]) for v in s[1:]])) == 1 for s in simplices)
+
+
+def test_pull_simplices_rejects_a_face_short_of_vertices():
+    """Tight sets that no polyhedron has: the facet {3} of the square
+    {0, 1, 2, 3} would be an edge with one vertex."""
+    tight = [frozenset({0, 1}), frozenset({1, 2}), frozenset({3})]
+    assert pull_simplices(frozenset({1, 2, 3}), 2, tight) == [(1, 2, 3)]
+    with pytest.raises(InvariantViolation, match="1-face has only 1 vertices"):
+        pull_simplices(frozenset(range(4)), 2, tight)
+
+
+def test_integral_points_stay_integers():
+    """Hull vertices keep integral coordinates as int and the others as
+    Fraction; 3 == Fraction(3) with equal hashes, so the polytope does not
+    depend on how its points were given."""
+    pts = [(0, 0), (3, 0), (1, 1), (0, 2)]
+    ints = hull_vertices(pts)
+    fracs = hull_vertices([tuple(map(Fraction, p)) for p in pts])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert all(type(x) is int for v in fracs.vertices for x in v)
+    half = hull_vertices([(Fraction(3, 2), 0), (0, Fraction(4, 2)), (0, 0)])
+    assert half.vertices == ((0, 0), (0, 2), (Fraction(3, 2), 0))
+    assert [[type(x) for x in v] for v in half.vertices] == \
+        [[int, int], [int, int], [Fraction, int]]
 
 
 # Reference oracle: the affine chart that gave lower-dimensional hulls and

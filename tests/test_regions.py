@@ -1,5 +1,6 @@
 """Newton regions, covolume, Minkowski algebra, mixed covolume."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,10 +11,10 @@ from coconvex.errors import (ConeMismatch, NonpositiveScalar, NotCobounded,
                              WrongArity)
 from coconvex.fitting import fit_homogeneous_pair
 from coconvex.jsonio import region_to_json
-from coconvex.linalg import dot
+from coconvex.linalg import det, dot
 from coconvex.localalg import monomial_ideal
 from coconvex.polytopes import (hull_vertices, polytope_volume,
-                                vertices_from_halfspaces)
+                                triangulate_points, vertices_from_halfspaces)
 from coconvex.radicals import compare_root_sum
 from coconvex.regions import (coconvex_body, cone_region, covol,
                               minkowski_sum, mixed_covol, newton_diagram,
@@ -29,6 +30,11 @@ ELL3 = (1, 1, 1)
 SKEW = dual_description([(1, 0), (1, 2)])
 WIDE = dual_description([(-1, 2), (2, -1)])
 FOUR_RAY = dual_description([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+SKEW3 = dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 3)])
+FIVE_RAY = dual_description([(0, 0, 1), (2, 0, 1), (3, 2, 1), (1, 3, 1), (0, 2, 1)])
+SKEW4 = dual_description([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 2, 3)])
+PYRAMID4 = dual_description([(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 1),
+                             (0, 0, 1, 1)])
 
 
 def covol_at(region, t):
@@ -61,14 +67,15 @@ def random_region(rng, n=2, bound=6, extra=3):
     return newton_region(orthant(n), gens, (1,) * n)
 
 
-def random_cone_region(rng, cone, ell, bound=4, extra=2):
-    """A generator on every ray of the cone plus nonnegative combinations."""
+def random_cone_region(rng, cone, ell, bound=4, extra=2, den=1):
+    """A generator on every ray of the cone plus nonnegative combinations,
+    with coefficients in (1/den) Z."""
     gens = []
     for r in cone.rays:
-        lam = rng.randint(1, bound)
+        lam = Fraction(rng.randint(1, bound * den), den)
         gens.append(tuple(lam * x for x in r))
     for _ in range(extra):
-        coeffs = [rng.randint(0, bound) for _ in cone.rays]
+        coeffs = [Fraction(rng.randint(0, bound * den), den) for _ in cone.rays]
         gens.append(tuple(sum(c * r[i] for c, r in zip(coeffs, cone.rays))
                           for i in range(cone.dim)))
     return newton_region(cone, [g for g in gens if any(g)], ell)
@@ -141,6 +148,56 @@ def test_covol_threshold_independence_random():
     for region in regions:
         t = region.threshold
         assert covol(region) == covol_at(region, t) == covol_at(region, 2 * t)
+
+
+def _bounded_facet_vertices(region):
+    """The generators on each facet whose normal is strictly positive on
+    the cone: the bounded facets of the region."""
+    return [[v for v in region.generators if dot(u, v) == c]
+            for u, c in region.facets
+            if all(dot(u, r) > 0 for r in region.cone.rays)]
+
+
+def reference_covol(region):
+    """Reference covolume: each bounded facet's generators triangulated by
+    `triangulate_points`, which hulls the facet again, and the |det| of
+    the pyramids from the origin summed."""
+    total = Fraction(0)
+    for verts in _bounded_facet_vertices(region):
+        simplices = [verts] if region.dim == 1 else triangulate_points(verts)
+        total += sum(abs(det(simplex)) for simplex in simplices)
+    return total / math.factorial(region.dim)
+
+
+def test_covol_matches_hull_per_facet_reference():
+    """Pulling over the region's own facet incidences gives the covolume
+    of the hull-per-facet triangulation, on orthants in dims 1-4, skew
+    simplicial cones, cones with n + 1 or more rays, half-integral
+    generators and Minkowski sums.  Enough bounded facets have more than
+    n vertices that the pulling recursion runs below the facet."""
+    rng = random.Random(47)
+    cones = {2: [SKEW, WIDE], 3: [SKEW3, FOUR_RAY, FIVE_RAY], 4: [SKEW4, PYRAMID4]}
+
+    def draw(n, cone):
+        if cone is None:
+            return random_region(rng, n, bound=5, extra=rng.randint(0, 4))
+        return random_cone_region(rng, cone, (1,) * n, bound=3,
+                                  extra=rng.randint(0, 3), den=rng.choice([1, 2]))
+
+    regions = []
+    for case in range(420):
+        n = 1 + case % 4
+        cone = None if case % 3 == 0 or n == 1 else rng.choice(cones[n])
+        regions.append(draw(n, cone))
+        if case // 4 % 2:
+            regions.append(minkowski_sum(regions[-1], draw(n, cone)))
+    assert len(regions) >= 600, len(regions)
+    wide_facets = 0
+    for region in regions:
+        assert covol(region) == reference_covol(region), region
+        wide_facets += sum(len(verts) > region.dim
+                           for verts in _bounded_facet_vertices(region))
+    assert wide_facets >= 150, wide_facets
 
 
 def test_minkowski_identity_element():
