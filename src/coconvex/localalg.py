@@ -7,9 +7,13 @@ Initial ideals of powers a^k are read off from a truncated Macaulay-style
 echelon of generator products: truncating every row at level D only
 disturbs f above D, so pivots below D are exactly the valuation values
 there.  The echelon is the closure of the products under x_i-shifts, cut
-at D.  It is fraction-free: generators are scaled once to integer
-coefficients (same pivots), their products are taken over the integers,
-and rows are cross-multiplied.  Everything upstream (colength,
+at D.  Its columns are the fixed numbering of one table per term order
+(the orthant exponents sorted by the order, as in the symbolic
+preprocessing of F4), so a pivot is a least index, a shift is a table
+lookup, and the monomials below D are a prefix whose length is the window
+a colength needs.  It is fraction-free: generators are scaled once to
+integer coefficients (same pivots), their products are taken over the
+integers, and rows are cross-multiplied.  Everything upstream (colength,
 multiplicity, Lech chain) reduces to staircase counting and covolume.
 """
 
@@ -30,8 +34,8 @@ from .linalg import dot, rank, scale_to_int
 from .radicals import compare_root_sum
 from .regions import covol, mixed_covol
 from .semigroups import (LatticeSemigroup, SemigroupIdealSet, complement_count,
-                         ideal_power, iter_points_at_level, lattice_semigroup,
-                         semigroup_ideal, staircase_region, sum_ideals)
+                         ideal_power, lattice_semigroup, semigroup_ideal,
+                         staircase_region, sum_ideals)
 from .fitting import stabilized_leading
 
 
@@ -167,34 +171,81 @@ def good_valuation_certificate(order: TermOrder) -> GoodValuationCertificate:
 # Truncated echelon
 # ---------------------------------------------------------------------------
 
-class _Echelon:
-    """Fraction-free sparse elimination with order-minimal pivots.
+class _MonomialTable:
+    """Orthant exponents sorted by `order.key` and numbered, grown by level.
 
-    Rows map exponents to integers.  A row is divided by its content when it
-    becomes a pivot row, so pivot rows are primitive with a positive pivot
-    coefficient.  Reducing r by the pivot row p at e sets r to
-    (p[e]/g) r - (r[e]/g) p with g = gcd(r[e], p[e]), so e cancels exactly.
-    Reduction tracks the candidate minimal exponents in a lazy-deletion heap
-    so each step costs the fill-in it causes, not a rescan of the whole row.
+    The key starts with the level, so the exponents of level < D are the
+    prefix exps[:width(D)] and a number is below width(D) exactly when its
+    exponent lies below D.  `index` maps an exponent back to its number.
+    shifts[i][v] is the number of exps[v] + e_i; it is listed for every v
+    whose shift is already numbered, which covers every v < width(D - ell[i])
+    once width(D) has been asked for.  Growing only appends, so numbers
+    never change and one table can serve every bound (`_monomial_table`).
     """
 
     def __init__(self, order: TermOrder):
         self.order = order
-        self.pivots = {}
-        self._keys = {}
+        zero = (0,) * order.n
+        self.exps = [zero]
+        self.index = {zero: 0}
+        self.shifts = [[] for _ in order.ell]
+        self._starts = [0, 1]  # _starts[L]: how many exponents lie below L
 
-    def _key(self, exp):
-        k = self._keys.get(exp)
-        if k is None:
-            k = self.order.key(exp)
-            self._keys[exp] = k
-        return k
+    def width(self, bound: int) -> int:
+        """Number of exponents of level < bound."""
+        while len(self._starts) <= bound:
+            self._grow()
+        return self._starts[max(bound, 0)]
+
+    def _grow(self) -> None:
+        """Number the next level: every exponent there is x_i times one of
+        level `level - ell[i]`, which also gives those exponents' shifts."""
+        level = len(self._starts) - 1
+        shifted = []
+        for i, w in enumerate(self.order.ell):
+            if level >= w:
+                lo, hi = self._starts[level - w], self._starts[level - w + 1]
+                shifted.append((i, [e[:i] + (e[i] + 1,) + e[i + 1:]
+                                    for e in self.exps[lo:hi]]))
+        for e in sorted({e for _, es in shifted for e in es}, key=self.order.key):
+            self.index[e] = len(self.exps)
+            self.exps.append(e)
+        for i, es in shifted:
+            self.shifts[i].extend(map(self.index.__getitem__, es))
+        self._starts.append(len(self.exps))
+
+
+@functools.lru_cache(maxsize=8)
+def _monomial_table(order: TermOrder) -> _MonomialTable:
+    """The one growing table per order, shared by every power and bound."""
+    return _MonomialTable(order)
+
+
+class _Echelon:
+    """Fraction-free sparse elimination with order-minimal pivots, cut at a
+    level bound.
+
+    Rows map numbers of the order's `_MonomialTable` to integers, so the
+    pivot of a row is its least number.  A row is divided by its content
+    when it becomes a pivot row, so pivot rows are primitive with a positive
+    pivot coefficient.  Reducing r by the pivot row p at e sets r to
+    (p[e]/g) r - (r[e]/g) p with g = gcd(r[e], p[e]), so e cancels exactly.
+    Reduction tracks the candidate minimal numbers in a lazy-deletion heap
+    so each step costs the fill-in it causes, not a rescan of the whole row.
+    """
+
+    def __init__(self, order: TermOrder, bound: int):
+        self.order = order
+        self.bound = bound
+        self.table = _monomial_table(order)
+        self.width = self.table.width(bound)
+        self.pivots = {}
 
     def reduce(self, row: dict, insert: bool):
-        heap = [(self._key(e), e) for e in row]
+        heap = list(row)
         heapq.heapify(heap)
         while heap:
-            _, e = heapq.heappop(heap)
+            e = heapq.heappop(heap)
             if e not in row:
                 continue
             prow = self.pivots.get(e)
@@ -213,7 +264,7 @@ class _Echelon:
             for k, v in prow.items():
                 old = row.get(k)
                 if old is None:
-                    heapq.heappush(heap, (self._key(k), k))
+                    heapq.heappush(heap, k)
                     row[k] = -c * v
                 else:
                     new = old - c * v
@@ -224,29 +275,31 @@ class _Echelon:
         return None
 
 
-def _insert_shifts(ech: _Echelon, gens, bound: int) -> None:
-    """Insert span{x^alpha * g cut at level `bound`} as a closure.
+def _insert_shifts(ech: _Echelon, gens) -> None:
+    """Insert span{x^alpha * g cut at level `ech.bound`} as a closure.
 
-    Each generator goes in cut at `bound`; whenever a row becomes a pivot
-    row r, x_i * r cut at `bound` goes in too, for every variable i.  A
+    Each generator goes in cut at the bound; whenever a row becomes a pivot
+    row r, x_i * r cut at the bound goes in too, for every variable i.  A
     shift only raises levels, so cutting after it gives the same row as
     cutting once; pivot rows never change once stored, so their span is
     closed under the cut shifts, holds every generator, and is the span
-    above.
+    above.  The shift of a number v stays below the bound exactly when v
+    lies below width(bound - ell[i]).
     """
-    ell = ech.order.ell
-    if any(g.n != len(ell) for g in gens):
+    table, width = ech.table, ech.width
+    if any(g.n != ech.order.n for g in gens):
         raise ValueError("dimension mismatch")
-    units = [tuple(int(j == i) for j in range(len(ell))) for i in range(len(ell))]
+    cuts = [(table.shifts[i], table.width(ech.bound - w))
+            for i, w in enumerate(ech.order.ell)]
     rows = collections.deque(
-        {e: c for e, c in g.terms if ech._key(e)[0] < bound} for g in gens)
+        {v: c for v, c in ((table.index.get(e, width), c) for e, c in g.terms)
+         if v < width} for g in gens)
     while rows:
         e = ech.reduce(rows.popleft(), insert=True)
         if e is not None:
-            for w, unit in zip(ell, units):
-                rows.append({tuple(map(operator.add, k, unit)): v
-                             for k, v in ech.pivots[e].items()
-                             if ech._key(k)[0] + w < bound})
+            prow = ech.pivots[e]
+            for shift, cut in cuts:
+                rows.append({shift[v]: c for v, c in prow.items() if v < cut})
 
 
 def truncated_echelon(gens, order: TermOrder, bound: int) -> frozenset:
@@ -256,10 +309,9 @@ def truncated_echelon(gens, order: TermOrder, bound: int) -> frozenset:
     valuation of an actual element, and every valuation value below the
     certified completeness level appears.
     """
-    ech = _Echelon(order)
-    gens = [_clear_denominators(g) for g in gens if not g.is_zero]
-    _insert_shifts(ech, gens, bound)
-    return frozenset(ech.pivots)
+    ech = _Echelon(order, bound)
+    _insert_shifts(ech, [_clear_denominators(g) for g in gens if not g.is_zero])
+    return frozenset(map(ech.table.exps.__getitem__, ech.pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +378,13 @@ def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
         if any(e == zero for e, _ in g.terms):
             raise ValueError("generator has a constant term, not in m")
     degree_order = standard_order(n)
+    table = _monomial_table(degree_order)
     gens = [_clear_denominators(g) for g in gens]
     for d in range(1, cap + 1):
-        ech = _Echelon(degree_order)
-        _insert_shifts(ech, gens, d + 1)
-        ok = True
-        for beta in iter_points_at_level(lattice_semigroup(orthant(n),
-                                                           degree_order.ell), d):
-            if ech.reduce({beta: 1}, insert=False) is not None:
-                ok = False
-                break
-        if ok:
+        ech = _Echelon(degree_order, d + 1)
+        _insert_shifts(ech, gens)
+        if all(ech.reduce({beta: 1}, insert=False) is None
+               for beta in range(table.width(d), ech.width)):
             return d
     raise NotPrimaryWithinCap(f"no power of m below {cap} lies in the ideal")
 
@@ -399,12 +447,11 @@ def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
     if isinstance(a, MonomialIdealLocal):
         return ideal_power(a.staircase, k) if k > 1 else a.staircase
     pivots, d0 = _initial_pivots(a, k)
-    order = a.order
-    sg = lattice_semigroup(orthant(a.n), order.ell)
-    pts = set(pivots)
-    for level in range(d0, d0 + max(order.ell)):
-        pts.update(iter_points_at_level(sg, level))
-    return semigroup_ideal(sg, pts)
+    ell = a.order.ell
+    table = _monomial_table(a.order)
+    band = table.exps[table.width(d0):table.width(d0 + max(ell))]
+    return semigroup_ideal(lattice_semigroup(orthant(a.n), ell),
+                           pivots.union(band))
 
 
 def colength(a) -> int:
@@ -417,10 +464,7 @@ def colength_of_power(a, k: int) -> int:
     if isinstance(a, MonomialIdealLocal):
         return complement_count(ideal_power(a.staircase, k))
     pivots, d0 = _initial_pivots(a, k)
-    sg = lattice_semigroup(orthant(a.n), a.order.ell)
-    window = sum(1 for level in range(d0)
-                 for _ in iter_points_at_level(sg, level))
-    return window - len(pivots)
+    return _monomial_table(a.order).width(d0) - len(pivots)
 
 
 def hilbert_samuel(a, kmax: int):
@@ -546,7 +590,7 @@ def lech_chain(a, kmax: int = 4) -> LechChain:
         return LechChain(e_upper=Fraction(e), e_in=e, bound=bound,
                          holds=e <= bound)
     report = multiplicity_report(a, kmax)
-    e_in = _staircase_multiplicity(initial_semigroup_ideal(a, 1))
+    e_in = _integral(report.u_values[0], "multiplicity")
     bound = math.factorial(a.n) * colength(a)
     e_upper = report.e_upper
     holds = e_upper <= e_in <= bound

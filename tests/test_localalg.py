@@ -3,6 +3,7 @@
 import functools
 import heapq
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coconvex import localalg
+from coconvex.cones import orthant
 from coconvex.errors import MonotonicityViolation, NotPrimaryWithinCap, ZeroPolynomial
 from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                good_valuation_certificate, hilbert_samuel,
@@ -20,10 +22,12 @@ from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                multiplicity_bm_check, multiplicity_report,
                                poly_local_ideal, product_ideal, standard_order,
                                term_order, truncated_echelon, valuation)
-from coconvex.semigroups import (complement_count, ideal_power, power_sequence,
-                                 product_sequence, staircase_region, sum_ideals)
-from coconvex.localalg import (_Echelon, _clear_denominators, _initial_pivots,
-                               _power_products)
+from coconvex.semigroups import (complement_count, ideal_power,
+                                 iter_points_at_level, lattice_semigroup,
+                                 power_sequence, product_sequence,
+                                 staircase_region, sum_ideals)
+from coconvex.localalg import (_Echelon, _MonomialTable, _clear_denominators,
+                               _initial_pivots, _power_products)
 from coconvex.regions import minkowski_sum
 from test_linalg import reference_echelon
 
@@ -240,9 +244,14 @@ def test_bk_report_examples():
 
 
 def test_lech_chain_examples():
-    chain = lech_chain(poly_local_ideal([X + Y2, Y3]))
+    a = poly_local_ideal([X + Y2, Y3])
+    chain = lech_chain(a)
     assert (chain.e_upper, chain.e_in, chain.bound) == (3, 3, 6)
     assert chain.holds
+    # e(in(a)) is read off u_1; an int, as a Fraction would print "3/1"
+    assert type(chain.e_in) is int
+    assert chain.e_in == localalg._staircase_multiplicity(
+        initial_semigroup_ideal(a, 1))
     chain = lech_chain(monomial_ideal([(2, 0), (0, 2)]))
     assert (chain.e_upper, chain.e_in, chain.bound) == (4, 4, 8)
     assert chain.holds
@@ -464,10 +473,57 @@ def _points_below(weights, bound):
         yield from rec((), 0, bound)
 
 
+class ExponentEchelon:
+    """Integer elimination keyed by exponent tuples, independent of the
+    numbered monomial table: the heap compares `order.key` tuples.
+
+    A row is divided by its content when it becomes a pivot row; reducing r
+    by the pivot row p at e sets r to (p[e]/g) r - (r[e]/g) p with
+    g = gcd(r[e], p[e]).
+    """
+
+    def __init__(self, order):
+        self.order = order
+        self.pivots = {}
+
+    def reduce(self, row, insert):
+        heap = [(self.order.key(e), e) for e in row]
+        heapq.heapify(heap)
+        while heap:
+            _, e = heapq.heappop(heap)
+            if e not in row:
+                continue
+            prow = self.pivots.get(e)
+            if prow is None:
+                if insert:
+                    content = math.gcd(*row.values())
+                    if row[e] < 0:
+                        content = -content
+                    self.pivots[e] = {k: v // content for k, v in row.items()}
+                return e
+            g = math.gcd(row[e], prow[e])
+            scale, c = prow[e] // g, row[e] // g
+            if scale != 1:
+                for k in row:
+                    row[k] *= scale
+            for k, v in prow.items():
+                old = row.get(k)
+                if old is None:
+                    heapq.heappush(heap, (self.order.key(k), k))
+                    row[k] = -c * v
+                else:
+                    new = old - c * v
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
+        return None
+
+
 def shift_echelon(gens, order, bound):
-    """Reference truncated echelon: the integer elimination fed every
-    x^alpha * g whose lowest term lies below `bound`, cut there."""
-    ech = _Echelon(order)
+    """Reference truncated echelon: the exponent-keyed integer elimination
+    fed every x^alpha * g whose lowest term lies below `bound`, cut there."""
+    ech = ExponentEchelon(order)
     for g in (_clear_denominators(g) for g in gens if not g.is_zero):
         terms = [(e, c, order.level(e)) for e, c in g.terms]
         base = min(w for _, _, w in terms)
@@ -675,6 +731,50 @@ def test_closure_echelon_work_count(monkeypatch):
     assert (len(pivots), len(products)) == (288, 91)
     assert len(calls) <= a.n * len(pivots) + len(products) == 667
     assert colength_of_power(a, 12) == 378
+
+
+TABLE_ORDERS = [standard_order(2), term_order((2, 3)), term_order((1, 2, 1)),
+                term_order((1, 1, 1), ((0, 0, 1), (1, -1, 0)))]
+
+
+def table_state(table):
+    return table.exps, table.index, table.shifts
+
+
+@pytest.mark.parametrize("order", TABLE_ORDERS,
+                         ids=["11", "23", "121", "111-nonlex"])
+def test_monomial_table_prefixes_and_shifts(order):
+    table = _MonomialTable(order)
+    for bound in range(-1, 31):
+        width = table.width(bound)
+        assert table.exps[:width] == sorted(_points_below(order.ell, bound),
+                                            key=order.key), bound
+    assert table.index == {e: v for v, e in enumerate(table.exps)}
+    for i, w in enumerate(order.ell):
+        shift = table.shifts[i]
+        assert len(shift) >= table.width(30 - w)
+        for v, s in enumerate(shift):
+            e = table.exps[v]
+            assert table.exps[s] == e[:i] + (e[i] + 1,) + e[i + 1:]
+    # grown in scrambled bound order, the table is the same
+    bounds = list(range(31))
+    random.Random(len(order.ell) + sum(order.ell)).shuffle(bounds)
+    scrambled = _MonomialTable(order)
+    for bound in bounds:
+        scrambled.width(bound)
+    assert table_state(scrambled) == table_state(table)
+
+
+def test_colength_matches_level_walk():
+    # the table's width below D0 against the orthant level walk it replaced
+    for gens in far_power_corpus(random.Random(7)):
+        a = poly_local_ideal(gens)
+        sg = lattice_semigroup(orthant(a.n), a.order.ell)
+        for k in (1, 2, 12):
+            pivots, d0 = _initial_pivots(a, k)
+            window = sum(1 for level in range(d0)
+                         for _ in iter_points_at_level(sg, level))
+            assert colength_of_power(a, k) == window - len(pivots), (gens, k)
 
 
 def test_echelon_scale_invariance():

@@ -44,4 +44,4 @@ def test_package_caches_are_listed():
                   and getattr(value, "__module__", None) == module.__name__]
     assert sorted(found) == sorted([
         "ideal_power", "_cosets", "hilbert_basis", "_orthant_colength", "covol",
-        "_product_map", "_initial_pivots"])
+        "_product_map", "_initial_pivots", "_monomial_table"])
