@@ -16,6 +16,7 @@ result; right-hand sides and identity blocks ride along as extra columns.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -24,7 +25,7 @@ Mat = list
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_sub(u, v):

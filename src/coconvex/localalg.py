@@ -91,7 +91,13 @@ class Poly:
 
 
 def _clear_denominators(g: Poly) -> Poly:
-    """Nonzero g times the lcm of its denominators: integer coefficients."""
+    """Nonzero g times the lcm of its denominators: integer coefficients.
+
+    A g with `int` coefficients already is that multiple, and comes back as
+    it is; the echelon of a power gets such products from `_product_map`.
+    """
+    if all(type(c) is int for _, c in g.terms):
+        return g
     exps, coeffs = zip(*g.terms)
     return Poly(n=g.n, terms=tuple(zip(exps, scale_to_int(coeffs))))
 

@@ -1,23 +1,25 @@
 """Lattice semigroups S = cone & Z^n, staircase ideals, and their counting.
 
-A semigroup ideal is stored by its antichain of minimal generators.  Every
-antichain (generators, sums and powers of ideals, orthant slices, the
-Hilbert basis) comes from one prune: candidates are ordered by the sum of
-their facet values, a level strictly positive on the cone minus the
-origin, so each candidate is compared only with the lower points already
-kept.  The Hilbert-Samuel function counts the finite complement
-S \\ I_k.  Every count splits the cone into simplicial pieces and each
-piece into the |det| cosets of the lattice spanned by its rays, one
-lattice point b of the half-open fundamental parallelepiped each.  On a
-simplicial cone the ideal above b is an orthant staircase in ray
-coordinates, counted by the slice recursion.  On any cone a complement
-point sits below the least generator multiple of each ray in some piece,
-so the complement and its top level are read off those coset boxes.  The
-same coset points are the Hilbert basis candidates.
+A semigroup ideal is stored by its antichain of minimal generators.
+Every antichain (generators, sums and powers of ideals, orthant slices,
+the Hilbert basis) comes from one prune: candidates are swept in
+lexicographic order of their facet values, so each is compared only with
+the points already kept, and with at most three facets that comparison is
+one query on a staircase of the kept points.  The Hilbert-Samuel function
+counts the finite complement S \\ I_k.  Every count splits the cone into
+simplicial pieces and each piece into the |det| cosets of the lattice
+spanned by its rays, one lattice point b of the half-open fundamental
+parallelepiped each.  On a simplicial cone the ideal above b is an
+orthant staircase in ray coordinates, counted by the slice recursion.  On
+any cone a complement point sits below the least generator multiple of
+each ray in some piece, so the complement and its top level are read off
+those coset boxes.  The same coset points are the Hilbert basis
+candidates.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -25,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import RationalCone, is_positive_on_cone, orthant
+from .cones import RationalCone, is_positive_on_cone
 from .errors import (ConeMismatch, InvariantViolation, NotCobounded, NotPrimary,
                      WrongArity)
 from .linalg import dot, integer_dual_basis, primitive, vec_sub
@@ -79,17 +81,53 @@ def _prune_to_antichain(cone: RationalCone, points) -> tuple:
     """Minimal elements of `points` under q <= p iff p - q lies in the cone.
 
     Each point is mapped once to its facet values F p; p - q is in the cone
-    exactly when F p >= F q componentwise.  The level sum(F p) is strictly
-    positive on the cone minus the origin, so every point below p comes
-    strictly earlier in level order and p is tested only against the
-    points already kept.  Returned lexicographically sorted.
+    exactly when F p >= F q componentwise.  On the standard orthant F p is
+    a permutation of p, so p itself serves.  Returned lexicographically
+    sorted.
     """
-    values = {p: tuple(dot(f, p) for f in cone.facets) for p in set(points)}
-    kept = {}
-    for p in sorted(values, key=lambda p: sum(values[p])):
-        v = values[p]
-        if not any(all(map(operator.ge, v, w)) for w in kept.values()):
-            kept[p] = v
+    if _is_standard_orthant(cone):
+        return _minima([(p, p) for p in sorted(set(points))], cone.dim)
+    facets = cone.facets
+    return _minima(sorted((tuple(dot(f, p) for f in facets), p)
+                          for p in set(points)), len(facets))
+
+
+def _minima(order, width: int) -> tuple:
+    """Points whose values are componentwise minimal, sorted.
+
+    `order` holds (values, point) pairs with `width` values each, sorted
+    lexicographically, with distinct values for distinct points.  If q's
+    values lie below p's and differ from them, q comes strictly earlier in
+    that order, so p is tested only against the points already kept.  With at most three
+    values, padded to (v1, v2, v3), the kept points' (v2, v3) are held as a
+    staircase: v2 ascending and v3 strictly descending, so each entry is
+    minimal among them.  Every kept point has v1 <= p's v1, so one lies
+    below p exactly when the last entry with v2 <= p's v2 has v3 <= p's v3.
+    A kept p replaces the entries it lies below, which run from the first
+    entry with v2 >= p's v2 while v3 >= p's v3.  Wider values are tested
+    against every kept point.
+    """
+    kept = []
+    if width > 3:
+        values = []
+        for v, p in order:
+            if not any(all(map(operator.ge, v, w)) for w in values):
+                values.append(v)
+                kept.append(p)
+        return tuple(sorted(kept))
+    pad = (0,) * (3 - width)
+    ys, zs = [], []
+    for v, p in order:
+        _, y, z = v + pad
+        i = bisect.bisect_right(ys, y)
+        if i and zs[i - 1] <= z:
+            continue
+        j = k = bisect.bisect_left(ys, y, 0, i)
+        while k < len(zs) and zs[k] >= z:
+            k += 1
+        ys[j:k] = [y]
+        zs[j:k] = [z]
+        kept.append(p)
     return tuple(sorted(kept))
 
 
@@ -197,7 +235,12 @@ def hilbert_basis(cone: RationalCone) -> tuple:
 
 
 def _is_standard_orthant(cone: RationalCone) -> bool:
-    return cone == orthant(cone.dim)
+    """The facets are the n unit vectors: a cone's facets are distinct and
+    nonzero, so n of them whose entries are n ones and zeros are those."""
+    n = cone.dim
+    entries = sum(cone.facets, ())
+    return (len(cone.facets) == n and entries.count(1) == n
+            and entries.count(0) == n * n - n)
 
 
 def iter_points_at_level(semigroup: LatticeSemigroup, level: int):
@@ -298,11 +341,10 @@ def _orthant_colength(gens: frozenset, n: int) -> int:
         raise NotPrimary(NEVER_DOMINATED)
     if cuts[0] != 0:
         cuts = [0] + cuts
-    slice_cone = orthant(n - 1)
     total = 0
     for j, v in enumerate(cuts):
-        active = frozenset(_prune_to_antichain(
-            slice_cone, [g[:-1] for g in gens if g[-1] <= v]))
+        active = frozenset(_minima(
+            [(p, p) for p in sorted({g[:-1] for g in gens if g[-1] <= v})], n - 1))
         if j + 1 < len(cuts):
             if not active:
                 raise NotPrimary(NEVER_DOMINATED)

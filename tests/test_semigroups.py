@@ -1,6 +1,7 @@
 """Staircase ideals, Hilbert-Samuel counting, primary sequences."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -29,9 +30,13 @@ from test_linalg import dual_basis
 S2 = lattice_semigroup(orthant(2))
 S3 = lattice_semigroup(orthant(3))
 
+# One to four facets; the four-ray cone stays last.
 ORACLE_CONES = [
+    orthant(1),
     orthant(2),
     orthant(3),
+    orthant(4),
+    dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 3)]),
     dual_description([(1, 0), (1, 2)]),
     dual_description([(1, 0), (1, 3)]),
     dual_description([(-1, 2), (2, -1)]),
@@ -60,6 +65,19 @@ def all_pairs_prune(cone, points):
     pts = sorted(set(points))
     return tuple(p for p in pts
                  if not any(q != p and cone.contains(vec_sub(p, q)) for q in pts))
+
+
+def level_order_prune(cone, points):
+    """Reference antichain: the level-ordered scan.  The level sum(F p) of
+    the facet values is strictly positive on the cone minus the origin, so
+    each point is tested only against the lower points already kept."""
+    values = {p: tuple(dot(f, p) for f in cone.facets) for p in set(points)}
+    kept = {}
+    for p in sorted(values, key=lambda p: sum(values[p])):
+        v = values[p]
+        if not any(all(map(operator.ge, v, w)) for w in kept.values()):
+            kept[p] = v
+    return tuple(sorted(kept))
 
 
 def random_cone_points(rng, cone, count):
@@ -189,6 +207,39 @@ def test_prune_matches_all_pairs_oracle():
                         itertools.combinations_with_replacement(gens, k)}
                 assert ideal_power(ideal, k).min_generators == \
                     all_pairs_prune(cone, sums)
+
+
+def test_prune_sweep_edge_cases():
+    """The sweep against both oracles on duplicates, ties in the first and
+    second sweep values, the zero point and the empty list, which the
+    orthant slice recursion prunes at its v = 0 cut when no generator has
+    last coordinate 0.  Points are drawn with repeats from a small box,
+    where ties are common."""
+    orthant3 = orthant(3)
+    # (1, 1, 1) shares v2 with the staircase entry of (0, 1, 2) and replaces it
+    points = [(0, 1, 2), (1, 1, 1), (2, 1, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    assert semigroups._prune_to_antichain(orthant3, points) == \
+        ((0, 1, 2), (1, 1, 1), (2, 0, 3), (3, 2, 0))
+    rng = random.Random(14)
+    ties = [0, 0]
+    for cone in ORACLE_CONES:
+        zero = (0,) * cone.dim
+        assert semigroups._prune_to_antichain(cone, []) == ()
+        pool = [p for p in itertools.product(range(-2, 4), repeat=cone.dim)
+                if cone.contains(p)]
+        for _ in range(30):
+            points = rng.choices(pool, k=rng.randint(1, 16))
+            expected = all_pairs_prune(cone, points)
+            assert semigroups._prune_to_antichain(cone, points) == expected
+            assert level_order_prune(cone, points) == expected
+            assert semigroups._prune_to_antichain(cone, points + [zero]) == (zero,)
+            if semigroups._is_standard_orthant(cone):
+                values = set(points)
+            else:
+                values = {tuple(dot(f, p) for f in cone.facets) for p in points}
+            for i in range(min(2, cone.dim)):
+                ties[i] += len({v[i] for v in values}) < len(values)
+    assert min(ties) > 0
 
 
 def test_staircase_membership_consistent_with_sums():
