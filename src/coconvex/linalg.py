@@ -47,9 +47,15 @@ def _row_scale(u) -> int:
 
 
 def scale_to_int(u) -> tuple:
-    """Clear denominators: smallest positive multiple with integer entries."""
-    mult = _row_scale(u)
-    return tuple(int(a * mult) for a in u)
+    """Clear denominators: smallest positive multiple with integer entries.
+
+    A row of ``int`` entries is already that multiple and comes back as it
+    stands."""
+    for a in u:
+        if type(a) is not int:
+            mult = _row_scale(u)
+            return tuple(int(a * mult) for a in u)
+    return tuple(u)
 
 
 def primitive(u) -> tuple:

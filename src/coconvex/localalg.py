@@ -187,14 +187,19 @@ class _MonomialTable:
     whose shift is already numbered, which covers every v < width(D - ell[i])
     once width(D) has been asked for.  Growing only appends, so numbers
     never change and one table can serve every bound (`_monomial_table`).
+    The key is linear, so each exponent's key is carried along:
+    key(e + e_i) = key(e) + key(e_i).
     """
 
     def __init__(self, order: TermOrder):
         self.order = order
         zero = (0,) * order.n
         self.exps = [zero]
+        self.keys = [order.key(zero)]
         self.index = {zero: 0}
         self.shifts = [[] for _ in order.ell]
+        # _steps[i]: key(e_i), column i of the order rows
+        self._steps = list(zip(order.ell, *order.tiebreak))
         self._starts = [0, 1]  # _starts[L]: how many exponents lie below L
 
     def width(self, bound: int) -> int:
@@ -208,14 +213,20 @@ class _MonomialTable:
         level `level - ell[i]`, which also gives those exponents' shifts."""
         level = len(self._starts) - 1
         shifted = []
-        for i, w in enumerate(self.order.ell):
+        keys = {}
+        for i, (w, step) in enumerate(zip(self.order.ell, self._steps)):
             if level >= w:
                 lo, hi = self._starts[level - w], self._starts[level - w + 1]
-                shifted.append((i, [e[:i] + (e[i] + 1,) + e[i + 1:]
-                                    for e in self.exps[lo:hi]]))
-        for e in sorted({e for _, es in shifted for e in es}, key=self.order.key):
+                es = [e[:i] + (e[i] + 1,) + e[i + 1:] for e in self.exps[lo:hi]]
+                for e, k in zip(es, self.keys[lo:hi]):
+                    if e not in keys:
+                        keys[e] = tuple(map(operator.add, k, step))
+                shifted.append((i, es))
+        # Keys are injective, so sorting (key, e) pairs never compares e.
+        for k, e in sorted((k, e) for e, k in keys.items()):
             self.index[e] = len(self.exps)
             self.exps.append(e)
+            self.keys.append(k)
         for i, es in shifted:
             self.shifts[i].extend(map(self.index.__getitem__, es))
         self._starts.append(len(self.exps))

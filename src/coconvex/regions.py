@@ -6,6 +6,11 @@ exactly when every extreme ray of the cone carries a generator, and then
 the body is the union of the pyramids from the origin over the bounded
 facets of the region (its Newton diagram), so the covolume is a sum of
 simplex determinants over a triangulation of the diagram.
+
+`newton_region` builds each region once per canonical input: repeated
+calls, such as the Minkowski sums that several mixed covolumes share,
+return the same frozen object, which also makes the `covol` cache hit.
+Errors are never cached.
 """
 
 from __future__ import annotations
@@ -62,8 +67,18 @@ def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     generator: at that level the slice of the cone lies beyond each ray's
     generator, hence in the region.  Vertices are the generators at which
     the tight facets have rank n.  Raises ValueError on malformed input.
+
+    Calls with the same canonical input (the cone, the sorted set of exact
+    generators and ell) share one frozen region from the bounded cache
+    `_newton_region`; errors are never cached, so a bad input raises on
+    every call.
     """
-    gens = sorted({exact_vector(g) for g in generators})
+    return _newton_region(cone, tuple(sorted({exact_vector(g) for g in generators})),
+                          tuple(ell))
+
+
+@functools.lru_cache(maxsize=256)
+def _newton_region(cone: RationalCone, gens: tuple, ell: tuple) -> NewtonRegion:
     if not gens:
         raise ValueError("need at least one generator")
     n = cone.dim

@@ -1,5 +1,6 @@
 """Exact linear algebra basics, checked against the textbook eliminations."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -220,16 +221,41 @@ def _entry(rng, big):
     return rng.choice([0, 0, rng.randint(-4, 4)])
 
 
+def _row(rng, n, big):
+    """A mixed row, or one of plain ``int`` entries (some negative, some
+    all zero), which `scale_to_int` passes through as it stands."""
+    kind = rng.random()
+    if kind < 0.15:
+        return tuple(rng.randint(-9, 9) for _ in range(n))
+    if kind < 0.2:
+        return (0,) * n
+    return tuple(_entry(rng, big) for _ in range(n))
+
+
+def reference_scale_to_int(row):
+    """The row over Fraction times the lcm of its denominators."""
+    mult = math.lcm(*(Fraction(a).denominator for a in row))
+    return tuple(Fraction(a) * mult for a in row)
+
+
 def test_kernel_matches_reference_eliminations():
     rng = random.Random(5)
-    seen = {"singular": 0, "inconsistent": 0, "rank_deficient": 0, "big": 0}
+    seen = {"singular": 0, "inconsistent": 0, "rank_deficient": 0, "big": 0,
+            "int_rows": 0, "zero_rows": 0}
     for _ in range(2500):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         if rng.random() < 0.3:
             m = n
         big = rng.random() < 0.2
         seen["big"] += big
-        rows = [tuple(_entry(rng, big) for _ in range(n)) for _ in range(m)]
+        rows = [_row(rng, n, big) for _ in range(m)]
+        for row in rows:
+            if all(type(a) is int for a in row):
+                seen["int_rows"] += 1
+                seen["zero_rows"] += not any(row)
+            scaled = scale_to_int(row)
+            assert scaled == reference_scale_to_int(row), row
+            assert all(type(a) is int for a in scaled)
         if m >= 3 and rng.random() < 0.4:
             i, j, k = rng.sample(range(m), 3)
             rows[k] = tuple(a + b for a, b in zip(rows[i], rows[j]))

@@ -16,9 +16,9 @@ from coconvex.localalg import monomial_ideal
 from coconvex.polytopes import (hull_vertices, polytope_volume,
                                 triangulate_points, vertices_from_halfspaces)
 from coconvex.radicals import compare_root_sum
-from coconvex.regions import (coconvex_body, cone_region, covol,
-                              minkowski_sum, mixed_covol, newton_diagram,
-                              newton_region, scale)
+from coconvex.regions import (_newton_region, coconvex_body, cone_region,
+                              covol, minkowski_sum, mixed_covol,
+                              newton_diagram, newton_region, scale)
 from coconvex.semigroups import lattice_semigroup, semigroup_ideal
 
 from test_polytopes import shoelace
@@ -104,6 +104,37 @@ def test_not_cobounded():
     # (0, 1, 1) lies on a 2-face through the ray (0, 0, 1), not on the ray.
     with pytest.raises(NotCobounded, match=r"\(0, 0, 1\)"):
         newton_region(O3, [(1, 0, 0), (0, 1, 0), (0, 1, 1)], ELL3)
+
+
+def test_equal_canonical_inputs_share_one_region():
+    """Reordered, duplicated and Fraction-valued generators, and ell as a
+    list, are one canonical input, so they share one frozen region."""
+    gens = [(2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]
+    base = newton_region(O3, gens, ELL3)
+    assert newton_region(O3, gens[::-1], ELL3) is base
+    assert newton_region(O3, gens + gens[:2], ELL3) is base
+    assert newton_region(O3, [tuple(map(Fraction, g)) for g in gens], ELL3) is base
+    assert newton_region(O3, iter(gens), list(ELL3)) is base
+    assert newton_region(O3, gens, (2, 2, 2)) == base
+    assert covol(base) == reference_covol(base) == Fraction(5, 6)
+    s = minkowski_sum(base, base)
+    assert minkowski_sum(base, base) is s and covol(s) == reference_covol(s)
+    # 2 * base is the same region from another input: equal, not shared.
+    assert scale(base, 2) == s and scale(base, 2) is scale(base, 2)
+
+
+def test_errors_are_not_cached():
+    """A bad input runs the checks, and raises, on every call."""
+    for call in (lambda: region2([(2, 0)]),
+                 lambda: newton_region(SKEW, [(2, 0), (1, 1)], (1, 1))):
+        for _ in range(2):
+            misses = _newton_region.cache_info().misses
+            with pytest.raises(NotCobounded):
+                call()
+            assert _newton_region.cache_info().misses == misses + 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside the cone"):
+            newton_region(O2, [(1, 0), (0, 1), (-1, 2)], ELL2)
 
 
 def test_threshold_examples():
