@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Subcommands read JSON files (see jsonio for the schemas) and write JSON or
-a plain table.  Exit codes: 0 success, 1 an inequality suite found a
-violation, 2 malformed input or validation failure.  Reports are
-byte-deterministic for fixed seed and flags; timing goes to stderr only.
-The environment variable COCONVEX_OUTPUT_DIR supplies a default directory
-for relative --output paths.
+Each subcommand is one row of COMMANDS.  Its handler reads a JSON file
+(see jsonio for the schemas) and returns the payload that main writes as
+JSON or a plain table; verify writes its own report.  Exit codes: 0
+success, 1 an inequality suite found a violation, 2 malformed input or
+validation failure.  Reports are byte-deterministic for fixed seed and
+flags; timing goes to stderr only.  The environment variable
+COCONVEX_OUTPUT_DIR supplies a default directory for relative --output
+paths.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .errors import CoconvexError, InputFormatError
 from .jsonio import (any_ideal_from_json, frac_str, monomial_ideal_from_json,
@@ -84,27 +87,24 @@ def _vertices_list(poly: RationalPolytope):
     return [[frac_str(x) for x in v] for v in poly.vertices]
 
 
-def _cmd_multiplicity(args) -> int:
+def _multiplicity(args) -> dict:
     ideal = any_ideal_from_json(_load_json(args.input))
     if isinstance(ideal, MonomialIdealLocal):
-        _emit({"e": multiplicity(ideal)}, args)
-        return 0
+        return {"e": multiplicity(ideal)}
     report = multiplicity_report(ideal, args.kmax)
-    _emit({
+    return {
         "e_upper": frac_str(report.e_upper),
         "e_exact": frac_str(report.e_fit) if report.e_fit is not None else None,
         "fit_stabilized": report.fit_stabilized,
         "u_sequence": [frac_str(u) for u in report.u_values],
         "hilbert_samuel": list(report.hilbert_values),
-    }, args)
-    return 0
+    }
 
 
-def _cmd_covolume(args) -> int:
+def _covolume(args) -> dict:
     region = region_from_json(_load_json(args.input))
-    _emit({"covol": frac_str(covol(region)),
-           "threshold": frac_str(region.threshold)}, args)
-    return 0
+    return {"covol": frac_str(covol(region)),
+            "threshold": frac_str(region.threshold)}
 
 
 def _region_from_any(data):
@@ -114,19 +114,18 @@ def _region_from_any(data):
     return staircase_region(ideal.staircase)
 
 
-def _cmd_newton(args) -> int:
+def _newton(args) -> dict:
     region = _region_from_any(_load_json(args.input))
-    faces = newton_diagram(region)
-    _emit({
+    return {
         "region": region_to_json(region),
         "facets": [{"normal": list(u), "offset": frac_str(c)}
                    for u, c in region.facets],
-        "diagram": [_vertices_list(face) for face in faces],
-    }, args)
-    return 0
+        "diagram": [_vertices_list(face) for face in newton_diagram(region)],
+    }
 
 
-def _ideal_list(data):
+def _ideal_list(args):
+    data = _load_json(args.input)
     if not isinstance(data, dict) or not isinstance(data.get("ideals"), list):
         raise InputFormatError('expected {"ideals": [...]}')
     if not data["ideals"]:
@@ -134,50 +133,42 @@ def _ideal_list(data):
     return [monomial_ideal_from_json(entry) for entry in data["ideals"]]
 
 
-def _cmd_mixed(args) -> int:
-    ideals = _ideal_list(_load_json(args.input))
-    _emit({"mixed_multiplicity": mixed_multiplicity(ideals)}, args)
-    return 0
+def _mixed(args) -> dict:
+    return {"mixed_multiplicity": mixed_multiplicity(_ideal_list(args))}
 
 
-def _cmd_hilbert_samuel(args) -> int:
+def _hilbert_samuel(args) -> dict:
     ideal = any_ideal_from_json(_load_json(args.input))
-    _emit({"H": hilbert_samuel(ideal, args.kmax)}, args)
-    return 0
+    return {"H": hilbert_samuel(ideal, args.kmax)}
 
 
-def _cmd_initial_ideal(args) -> int:
+def _initial_ideal(args) -> dict:
     ideal = poly_ideal_from_json(_load_json(args.input))
-    staircase = initial_semigroup_ideal(ideal, args.k)
-    _emit(semigroup_ideal_to_json(staircase), args)
-    return 0
+    return semigroup_ideal_to_json(initial_semigroup_ideal(ideal, args.k))
 
 
-def _cmd_lech(args) -> int:
+def _lech(args) -> dict:
     ideal = any_ideal_from_json(_load_json(args.input))
     chain = lech_chain(ideal)
-    _emit({
+    return {
         "e_upper": frac_str(chain.e_upper),
         "e_in": chain.e_in,
         "bound": chain.bound,
         "colength": colength(ideal),
         "holds": chain.holds,
-    }, args)
-    return 0
+    }
 
 
-def _cmd_bk(args) -> int:
-    ideals = _ideal_list(_load_json(args.input))
-    report = bk_report(ideals)
-    _emit({
+def _bk(args) -> dict:
+    report = bk_report(_ideal_list(args))
+    return {
         "intersection_multiplicity": report.intersection_multiplicity,
         "dimension": report.dimension,
         "statement": report.statement,
-    }, args)
-    return 0
+    }
 
 
-def _cmd_verify(args) -> int:
+def _verify(args) -> int:
     spec = InstanceSpec(dimension=args.dim, seed=args.seed,
                         exponent_bound=args.exponent_bound)
     report = SUITES[args.suite](spec, args.count)
@@ -201,81 +192,75 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class Command(NamedTuple):
+    """`arguments`: (flag, add_argument keywords) pairs after the shared
+    --input (if `reads_input`), --format and --output."""
+
+    name: str
+    help: str
+    handler: Callable
+    arguments: tuple = ()
+    reads_input: bool = True
+
+
+COMMANDS = (
+    Command("multiplicity", "Samuel multiplicity of an ideal", _multiplicity,
+            (("--kmax", {"type": _positive_int, "default": 6,
+                         "help": "depth of the certified report for "
+                                 "polynomial ideals"}),)),
+    Command("covolume", "covolume of a region", _covolume),
+    Command("newton", "Newton region facets and diagram", _newton),
+    Command("mixed", "mixed multiplicity of n monomial ideals", _mixed),
+    Command("hilbert-samuel", "H(k) = dim R/a^k", _hilbert_samuel,
+            (("--kmax", {"type": _positive_int, "default": 8}),)),
+    Command("initial-ideal", "staircase of in(a^k)", _initial_ideal,
+            (("--k", {"type": _positive_int, "default": 1}),)),
+    Command("lech", "e(a) <= e(in(a)) <= n! dim(R/a)", _lech),
+    Command("bk", "local Bernstein-Kushnirenko report", _bk),
+    Command("verify", "run a seeded verification suite", _verify,
+            (("--suite", {"choices": sorted(SUITES), "required": True}),
+             ("--count", {"type": _positive_int, "default": 100}),
+             ("--seed", {"type": int, "default": 1}),
+             ("--dim", {"type": _positive_int, "default": 2}),
+             ("--exponent-bound", {"type": _positive_int, "default": 6})),
+            reads_input=False),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coconvex",
         description="Exact multiplicities of ideals via Newton regions "
                     "and covolumes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        if command.reads_input:
             p.add_argument("--input", required=True, help="JSON input file")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--output", help="write to this file instead of stdout")
-
-    p = sub.add_parser("multiplicity", help="Samuel multiplicity of an ideal")
-    common(p)
-    p.add_argument("--kmax", type=_positive_int, default=6,
-                   help="depth of the certified report for polynomial ideals")
-    p.set_defaults(func=_cmd_multiplicity)
-
-    p = sub.add_parser("covolume", help="covolume of a region")
-    common(p)
-    p.set_defaults(func=_cmd_covolume)
-
-    p = sub.add_parser("newton", help="Newton region facets and diagram")
-    common(p)
-    p.set_defaults(func=_cmd_newton)
-
-    p = sub.add_parser("mixed", help="mixed multiplicity of n monomial ideals")
-    common(p)
-    p.set_defaults(func=_cmd_mixed)
-
-    p = sub.add_parser("hilbert-samuel", help="H(k) = dim R/a^k")
-    common(p)
-    p.add_argument("--kmax", type=_positive_int, default=8)
-    p.set_defaults(func=_cmd_hilbert_samuel)
-
-    p = sub.add_parser("initial-ideal", help="staircase of in(a^k)")
-    common(p)
-    p.add_argument("--k", type=_positive_int, default=1)
-    p.set_defaults(func=_cmd_initial_ideal)
-
-    p = sub.add_parser("lech", help="e(a) <= e(in(a)) <= n! dim(R/a)")
-    common(p)
-    p.set_defaults(func=_cmd_lech)
-
-    p = sub.add_parser("bk", help="local Bernstein-Kushnirenko report")
-    common(p)
-    p.set_defaults(func=_cmd_bk)
-
-    p = sub.add_parser("verify", help="run a seeded verification suite")
-    common(p, needs_input=False)
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--count", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--dim", type=_positive_int, default=2)
-    p.add_argument("--exponent-bound", type=_positive_int, default=6)
-    p.set_defaults(func=_cmd_verify)
-
+        for flag, options in command.arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=command.handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):  # verify wrote its own report
+            return result
+        _emit(result, args)
+        return 0
     except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        message = f"input error: {exc}"
     except CoconvexError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        message = f"error: {type(exc).__name__}: {exc}"
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = f"error: {exc}"
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

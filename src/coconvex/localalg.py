@@ -71,12 +71,16 @@ class Poly:
         return not self.terms
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Product with the coefficients' own arithmetic: `int` stays `int`."""
+        if other.n != self.n:
+            raise ValueError(f"dimension mismatch: {self.n} and {other.n}")
         acc = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Poly.from_dict(self.n, acc)
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        terms = tuple(sorted(t for t in acc.items() if t[1]))
+        return Poly(n=self.n, terms=terms)
 
     def __add__(self, other: "Poly") -> "Poly":
         acc = dict(self.terms)
@@ -429,13 +433,7 @@ def _product_map(a: PolyLocalIdeal, k: int):
     out = {}
     for combo, p in prev.items():
         for j in range(combo[-1], len(a.generators)):
-            acc = {}
-            for e1, c1 in p.terms:
-                for e2, c2 in gens[(j,)].terms:
-                    e = tuple(map(operator.add, e1, e2))
-                    acc[e] = acc.get(e, 0) + c1 * c2
-            out[combo + (j,)] = Poly(n=a.n, terms=tuple(
-                sorted(t for t in acc.items() if t[1])))
+            out[combo + (j,)] = p * gens[(j,)]
     return out
 
 
@@ -462,7 +460,7 @@ def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
     if k < 1:
         raise ValueError("power must be >= 1")
     if isinstance(a, MonomialIdealLocal):
-        return ideal_power(a.staircase, k) if k > 1 else a.staircase
+        return ideal_power(a.staircase, k)
     pivots, d0 = _initial_pivots(a, k)
     ell = a.order.ell
     table = _monomial_table(a.order)

@@ -153,12 +153,7 @@ def ideal_power(ideal: SemigroupIdealSet, k: int) -> SemigroupIdealSet:
         raise ValueError("power must be >= 1")
     if k == 1:
         return ideal
-    prev = ideal_power(ideal, k - 1)
-    cone = ideal.semigroup.cone
-    sums = {tuple(a + b for a, b in zip(p, q))
-            for p in prev.min_generators for q in ideal.min_generators}
-    return SemigroupIdealSet(semigroup=ideal.semigroup,
-                             min_generators=_prune_to_antichain(cone, sums))
+    return sum_ideals(ideal_power(ideal, k - 1), ideal)
 
 
 def sum_ideals(a: SemigroupIdealSet, b: SemigroupIdealSet) -> SemigroupIdealSet:
@@ -422,8 +417,20 @@ class PrimaryGradedSequence:
         return self.prefix[k - 1]
 
     @property
+    def prefix_length(self):
+        """Length of the shortest explicit prefix in the sequence (the
+        sequence itself or a factor), math.inf if there is none."""
+        if self.kind == "powers":
+            return math.inf
+        if self.kind == "product":
+            return min(f.prefix_length for f in self.factors)
+        return len(self.prefix)
+
+    @property
     def exact_region(self) -> bool:
-        return self.kind != "explicit"
+        """Without an explicit prefix the region is exact, with one only an
+        inner approximation."""
+        return self.prefix_length == math.inf
 
 
 def power_sequence(ideal: SemigroupIdealSet) -> PrimaryGradedSequence:
@@ -517,8 +524,8 @@ def gamma_region(seq: PrimaryGradedSequence) -> NewtonRegion:
     """Region of the sequence: conv of scaled terms plus the cone.
 
     Exact for power sequences (conv of the staircase) and products
-    (Minkowski sum of the factors); an inner approximation for explicit
-    prefixes (see okounkov_data for the flag).
+    (Minkowski sum of the factors) of them; an inner approximation once an
+    explicit prefix is involved (see okounkov_data for the flag).
     """
     return okounkov_data(seq).region
 
@@ -532,8 +539,8 @@ def okounkov_data(seq: PrimaryGradedSequence) -> OkounkovData:
     if seq.kind == "product":
         a, b = seq.factors
         region = minkowski_sum(gamma_region(a), gamma_region(b))
-        exact = okounkov_data(a).exact and okounkov_data(b).exact
-        return OkounkovData(region=region, exact=exact, materialized_terms=0,
+        return OkounkovData(region=region, exact=seq.exact_region,
+                            materialized_terms=0,
                             truncation_level=region.threshold)
     pts = set()
     for k in range(1, len(seq.prefix) + 1):
@@ -548,8 +555,8 @@ def okounkov_data(seq: PrimaryGradedSequence) -> OkounkovData:
 def multiplicity(seq: PrimaryGradedSequence) -> Fraction:
     """e(I_k) = lim H(k)/k^n, equal to the covolume of the region.
 
-    Only exact kinds are accepted; use multiplicity_estimate for explicit
-    prefixes.
+    Only exact regions are accepted; use multiplicity_estimate when the
+    sequence holds an explicit prefix.
     """
     if not seq.exact_region:
         raise ValueError("explicit prefixes only bound the multiplicity; "
@@ -558,12 +565,13 @@ def multiplicity(seq: PrimaryGradedSequence) -> Fraction:
 
 
 def multiplicity_estimate(seq: PrimaryGradedSequence):
-    """(inner covolume, H(kmax)/kmax^n trend) bracket for explicit prefixes."""
+    """(inner covolume, H(kmax)/kmax^n trend) bracket for a sequence that
+    holds an explicit prefix; kmax is the shortest such prefix."""
     if seq.exact_region:
-        raise ValueError("powers and products have an exact multiplicity; "
-                         "use multiplicity")
+        raise ValueError("powers and products of them have an exact "
+                         "multiplicity; use multiplicity")
     data = okounkov_data(seq)
-    kmax = len(seq.prefix)
+    kmax = seq.prefix_length
     n = seq.semigroup.dim
     trend = Fraction(complement_count(seq.term(kmax)), kmax ** n)
     return covol(data.region), trend

@@ -1,13 +1,21 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from coconvex import localalg, semigroups
+from coconvex import cli, localalg, semigroups, suites
 from coconvex.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, name, payload):
@@ -313,3 +321,91 @@ def test_monomial_dim_checked(tmp_path, capsys, payload):
     assert code == 2
     assert out == ""
     assert "dim" in err
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    """One real process per exit path: `python -m coconvex.cli`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def cli_process(*argv):
+        return subprocess.run([sys.executable, "-m", "coconvex.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    proc = cli_process("verify", "--suite", "bm-covol", "--count", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+    assert re.search(r"^suite=bm-covol count=1 violations=0 elapsed_ms=",
+                     proc.stderr, re.MULTILINE)
+    proc = cli_process("multiplicity", "--input", "missing.json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "input error" in proc.stderr
+    proc = cli_process()
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: coconvex ")
+
+
+def test_af_covol_dim_one_exit_2_before_drawing(capsys, monkeypatch):
+    # The Alexandrov-Fenchel inequality needs two regions, so n >= 2.
+    def never(*args):
+        raise AssertionError("instances drawn for --dim 1")
+
+    monkeypatch.setattr(suites, "_draw_ideals", never)
+    code, out, err = run(capsys, ["verify", "--suite", "af-covol", "--dim", "1"])
+    assert code == 2
+    assert out == ""
+    assert "WrongArity" in err and "af-covol" in err and "dim >= 2" in err
+
+
+POSITIVE = cli._positive_int
+INPUT = (("--input",), None, None, None, True)
+FORMAT = (("--format",), "json", None, ("json", "table"), False)
+OUTPUT = (("--output",), None, None, None, False)
+# command -> (help, options as (flags, default, type, choices, required))
+CLI_SURFACE = {
+    "multiplicity": ("Samuel multiplicity of an ideal",
+                     [INPUT, FORMAT, OUTPUT,
+                      (("--kmax",), 6, POSITIVE, None, False)]),
+    "covolume": ("covolume of a region", [INPUT, FORMAT, OUTPUT]),
+    "newton": ("Newton region facets and diagram", [INPUT, FORMAT, OUTPUT]),
+    "mixed": ("mixed multiplicity of n monomial ideals",
+              [INPUT, FORMAT, OUTPUT]),
+    "hilbert-samuel": ("H(k) = dim R/a^k",
+                       [INPUT, FORMAT, OUTPUT,
+                        (("--kmax",), 8, POSITIVE, None, False)]),
+    "initial-ideal": ("staircase of in(a^k)",
+                      [INPUT, FORMAT, OUTPUT,
+                       (("--k",), 1, POSITIVE, None, False)]),
+    "lech": ("e(a) <= e(in(a)) <= n! dim(R/a)", [INPUT, FORMAT, OUTPUT]),
+    "bk": ("local Bernstein-Kushnirenko report", [INPUT, FORMAT, OUTPUT]),
+    "verify": ("run a seeded verification suite",
+               [FORMAT, OUTPUT,
+                (("--suite",), None, None,
+                 ("af-covol", "bm-covol", "bm-mult", "lech", "polynomiality"),
+                 True),
+                (("--count",), 100, POSITIVE, None, False),
+                (("--seed",), 1, int, None, False),
+                (("--dim",), 2, POSITIVE, None, False),
+                (("--exponent-bound",), 6, POSITIVE, None, False)]),
+}
+
+
+def test_parser_surface_pinned():
+    parser = cli.build_parser()
+    assert parser.prog == "coconvex"
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert sub.dest == "command" and sub.required
+    assert list(sub.choices) == list(CLI_SURFACE)
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    for name, (help_text, options) in CLI_SURFACE.items():
+        assert helps[name] == help_text, name
+        got = [(tuple(action.option_strings), action.default, action.type,
+                None if action.choices is None else tuple(action.choices),
+                action.required)
+               for action in sub.choices[name]._actions
+               if not isinstance(action, argparse._HelpAction)]
+        assert got == options, name

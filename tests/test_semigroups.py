@@ -496,6 +496,21 @@ def test_multiplicity_explicit_estimate():
             multiplicity_estimate(exact)
 
 
+
+def test_product_with_explicit_factor_is_inner():
+    # A product is exact only when both factors are: the region of an
+    # explicit prefix is an inner approximation, so is its Minkowski sum.
+    m = ideal2([(1, 0), (0, 1)])
+    prod = product_sequence(explicit_sequence([m, ideal_power(m, 2)]),
+                            power_sequence(m))
+    assert not prod.exact_region
+    assert not okounkov_data(prod).exact
+    with pytest.raises(ValueError, match="use multiplicity_estimate"):
+        multiplicity(prod)
+    # the bracket is read at the shortest explicit prefix, k = 2: the term
+    # is m^4, with 10 standard monomials
+    assert multiplicity_estimate(prod) == (Fraction(2), Fraction(10, 4))
+
 def test_mixed_multiplicity_semigroup_examples():
     a = power_sequence(ideal2([(1, 0), (0, 1)]))
     b = power_sequence(ideal2([(2, 0), (0, 2)]))

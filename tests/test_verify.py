@@ -1,8 +1,11 @@
 """Instance generation determinism and the verification suites."""
 
+import contextlib
 import hashlib
+import io
 import json
 
+from coconvex.cli import main
 from coconvex.cones import dual_description
 from coconvex.localalg import multiplicity, product_ideal
 from coconvex.randgen import InstanceSpec, XorShift64Star, random_monomial_ideal
@@ -158,3 +161,31 @@ def test_verify_reports_pinned():
         spec = InstanceSpec(dimension=dimension, seed=7, exponent_bound=6)
         report = SUITES[suite](spec, 5).canonical_bytes()
         assert hashlib.sha256(report).hexdigest() == digest, (dimension, suite)
+
+
+# SHA-256 of the stdout of `verify --format table` at dim 2, seed 7, three
+# instances.  The table prints each record's keys in insertion order, which
+# the sorted canonical bytes above cannot see.
+VERIFY_TABLE_DIGESTS = {
+    "bm-covol":
+        "45893f1ce9ea871c9a0d61bd735e3efab08961b840c9e8684fc8dd5197cc8509",
+    "af-covol":
+        "aa2a8b2da531fb6b80a209b41d1e67c87c3a77759a4b8145f23f85d32eb13297",
+    "bm-mult":
+        "cdbf388d54d6f83d682a52a161914a041a7c9c97a2de8b2531e90509770f23ac",
+    "lech":
+        "ad8b3c5b19b24778ca2e6a3a80d76e9f6c611d14e00bfdefdebd7acfaf17a3e6",
+    "polynomiality":
+        "1b2b4f5b75d86f7d64a851b4f2111eb48b5d3987b60d1cfb4c91485ec27e43dd",
+}
+
+
+def test_verify_table_reports_pinned():
+    for suite, digest in VERIFY_TABLE_DIGESTS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", "--suite", suite, "--dim", "2", "--seed", "7",
+                         "--count", "3", "--format", "table"])
+        assert code == 0, suite
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, suite
