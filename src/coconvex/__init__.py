@@ -27,12 +27,12 @@ from .polytopes import RationalPolytope, hull_vertices, polytope_volume
 from .regions import (CoconvexBody, NewtonRegion, coconvex_body, cone_region,
                       covol, minkowski_sum, mixed_covol, newton_diagram,
                       newton_region, scale)
-from .semigroups import (LatticeSemigroup, OkounkovData, PrimaryGradedSequence,
+from .semigroups import (LatticeSemigroup, PrimaryGradedSequence,
                          SemigroupIdealSet, complement_count, complement_points,
                          explicit_sequence, gamma_region, hilbert_basis,
                          hilbert_samuel_sequence, ideal_power,
                          lattice_semigroup, mixed_multiplicity_semigroup,
-                         okounkov_data, power_sequence, primary_certificate,
+                         power_sequence, primary_certificate,
                          product_sequence, semigroup_ideal, sequence_t0,
                          staircase_region, sum_ideals)
 from .randgen import InstanceSpec, XorShift64Star, random_monomial_ideal

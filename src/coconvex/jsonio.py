@@ -144,7 +144,7 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def poly_from_json(data: dict, n: int) -> Poly:
-    if not isinstance(data, dict) or "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise InputFormatError("polynomial needs a terms array")
     coeffs = {}
     for term in data["terms"]:
@@ -176,6 +176,8 @@ def poly_ideal_from_json(data: dict) -> PolyLocalIdeal:
         if key not in data:
             raise InputFormatError(f"polynomial ideal is missing {key!r}")
     n = _parse_dim(data["dim"])
+    if not isinstance(data["generators"], list):
+        raise InputFormatError("generators must be an array of polynomials")
     order = None
     if "order" in data:
         odata = data["order"]

@@ -34,7 +34,12 @@ def vec_sub(u, v):
 
 def exact_vector(u) -> tuple:
     """u with its integral entries as ``int`` and the others as ``Fraction``."""
-    return tuple(q.numerator if q.denominator == 1 else q for q in map(Fraction, u))
+    return tuple(a if type(a) is int else _exact(a) for a in u)
+
+
+def _exact(a):
+    q = Fraction(a)
+    return q.numerator if q.denominator == 1 else q
 
 
 def is_zero(u) -> bool:

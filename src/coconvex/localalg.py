@@ -31,7 +31,6 @@ from .cones import RationalCone, orthant
 from .errors import (InvariantViolation, MonotonicityViolation,
                      NotPrimaryWithinCap, ZeroPolynomial)
 from .linalg import dot, rank, scale_to_int
-from .radicals import compare_root_sum
 from .regions import covol, mixed_covol
 from .semigroups import (LatticeSemigroup, SemigroupIdealSet, complement_count,
                          ideal_power, lattice_semigroup, semigroup_ideal,
@@ -62,9 +61,6 @@ class Poly:
                 raise ValueError(f"bad exponent {exp}")
             items.append((exp, c))
         return Poly(n=n, terms=tuple(sorted(items)))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     @property
     def is_zero(self) -> bool:
@@ -628,15 +624,3 @@ def product_ideal(a, b):
         gens = tuple(g * h for g in a.generators for h in b.generators)
         return PolyLocalIdeal(generators=gens, order=a.order, m0=a.m0 + b.m0)
     raise ValueError("product of mixed ideal kinds is not supported")
-
-
-def multiplicity_bm_check(a, b) -> tuple:
-    """Exact Brunn-Minkowski comparison for two monomial ideals.
-
-    Returns (holds, equality) for e(a)^(1/n) + e(b)^(1/n) >= e(ab)^(1/n).
-    """
-    n = a.n
-    ea, eb = multiplicity(a), multiplicity(b)
-    eab = multiplicity(product_ideal(a, b))
-    cmp_sign = compare_root_sum(Fraction(ea), Fraction(eb), Fraction(eab), n)
-    return cmp_sign >= 0, cmp_sign == 0

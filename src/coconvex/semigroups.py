@@ -244,19 +244,6 @@ def iter_points_at_level(semigroup: LatticeSemigroup, level: int):
     n = semigroup.dim
     if level < 0:
         return
-    if _is_standard_orthant(cone):
-        def rec(prefix, idx, budget):
-            if idx == n - 1:
-                if budget % ell[idx] == 0:
-                    yield prefix + (budget // ell[idx],)
-                return
-            for v in range(budget // ell[idx] + 1):
-                yield from rec(prefix + (v,), idx + 1, budget - v * ell[idx])
-        yield from rec((), 0, level)
-        return
-    if level == 0:
-        yield tuple(0 for _ in range(n))
-        return
     # Bounding box of the level slice conv{level * r / ell(r)}.
     verts = [tuple(Fraction(level * x, dot(ell, r)) for x in r) for r in cone.rays]
     lo = [int(min(v[i] for v in verts).__ceil__()) for i in range(n)]
@@ -505,51 +492,24 @@ def hilbert_samuel_sequence(seq: PrimaryGradedSequence, kmax: int):
     return [complement_count(seq.term(k)) for k in range(1, kmax + 1)]
 
 
-@dataclass(frozen=True)
-class OkounkovData:
-    """Region attached to a sequence plus the truncation bookkeeping.
-
-    `truncation_level` is the certified threshold T of the region: every
-    point of the cone at level >= T lies in the region, so the coconvex
-    body sits inside the slice cone & {level <= T}.
-    """
-
-    region: NewtonRegion
-    exact: bool
-    materialized_terms: int
-    truncation_level: Fraction
-
-
 def gamma_region(seq: PrimaryGradedSequence) -> NewtonRegion:
     """Region of the sequence: conv of scaled terms plus the cone.
 
     Exact for power sequences (conv of the staircase) and products
     (Minkowski sum of the factors) of them; an inner approximation once an
-    explicit prefix is involved (see okounkov_data for the flag).
+    explicit prefix is involved (see `exact_region` for the flag).
     """
-    return okounkov_data(seq).region
-
-
-def okounkov_data(seq: PrimaryGradedSequence) -> OkounkovData:
-    sg = seq.semigroup
     if seq.kind == "powers":
-        region = staircase_region(seq.base)
-        return OkounkovData(region=region, exact=True, materialized_terms=1,
-                            truncation_level=region.threshold)
+        return staircase_region(seq.base)
     if seq.kind == "product":
         a, b = seq.factors
-        region = minkowski_sum(gamma_region(a), gamma_region(b))
-        return OkounkovData(region=region, exact=seq.exact_region,
-                            materialized_terms=0,
-                            truncation_level=region.threshold)
+        return minkowski_sum(gamma_region(a), gamma_region(b))
+    sg = seq.semigroup
     pts = set()
     for k in range(1, len(seq.prefix) + 1):
         for g in seq.term(k).min_generators:
             pts.add(tuple(Fraction(x, k) for x in g))
-    region = newton_region(sg.cone, pts, sg.ell)
-    return OkounkovData(region=region, exact=False,
-                        materialized_terms=len(seq.prefix),
-                        truncation_level=region.threshold)
+    return newton_region(sg.cone, pts, sg.ell)
 
 
 def multiplicity(seq: PrimaryGradedSequence) -> Fraction:
@@ -570,11 +530,10 @@ def multiplicity_estimate(seq: PrimaryGradedSequence):
     if seq.exact_region:
         raise ValueError("powers and products of them have an exact "
                          "multiplicity; use multiplicity")
-    data = okounkov_data(seq)
     kmax = seq.prefix_length
     n = seq.semigroup.dim
     trend = Fraction(complement_count(seq.term(kmax)), kmax ** n)
-    return covol(data.region), trend
+    return covol(gamma_region(seq)), trend
 
 
 def mixed_multiplicity_semigroup(seqs) -> Fraction:

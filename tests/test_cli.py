@@ -235,6 +235,15 @@ def test_malformed_input_exit_2(tmp_path, capsys):
             assert code == 2, (command, payload)
             assert out == ""
             assert "input error" in err
+    # polynomial "generators" and "terms" must be arrays, not numbers
+    for command, payload in (
+            ("initial-ideal", {"dim": 2, "generators": 5}),
+            ("multiplicity", {"dim": 2, "generators": [{"terms": 5}]})):
+        path = write(tmp_path, "poly.json", payload)
+        code, out, err = run(capsys, [command, "--input", path])
+        assert code == 2, (command, payload)
+        assert out == ""
+        assert "input error" in err
 
 
 def test_missing_file_exit_2(capsys):

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from coconvex.linalg import (det, dot, integer_dual_basis, nullspace,
-                             pivot_columns, primitive, rank, scale_to_int,
-                             solve)
+from coconvex.linalg import (det, dot, exact_vector, integer_dual_basis,
+                             nullspace, pivot_columns, primitive, rank,
+                             scale_to_int, solve)
 
 
 # Reference oracles: one separate Gaussian elimination per question, kept
@@ -191,6 +191,24 @@ def test_primitive_and_scale_to_int():
     assert primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
     assert primitive((0, -2)) == (0, -1)
     assert scale_to_int((Fraction(1, 2), 1)) == (1, 2)
+
+
+def test_exact_vector_matches_fraction_conversion():
+    # reference: every entry through Fraction, integral ones back to int
+    def reference(u):
+        return tuple(q.numerator if q.denominator == 1 else q
+                     for q in map(Fraction, u))
+
+    big = 10 ** 30
+    for u in [(3, 0, -7, big), (True, False, 2), (Fraction(4, 2), Fraction(-3)),
+              (Fraction(1, 2), 3, Fraction(-5, 3)),
+              (True, Fraction(6, 3), 1, Fraction(1, 7))]:
+        got = exact_vector(u)
+        assert got == reference(u)
+        assert list(map(type, got)) == list(map(type, reference(u)))
+    ints = (3, 0, -7, big)
+    assert all(a is b for a, b in zip(exact_vector(ints), ints))
+    assert exact_vector(iter([Fraction(1, 2), 2])) == (Fraction(1, 2), 2)
 
 
 @given(st.lists(st.integers(-50, 50), min_size=9, max_size=9))

@@ -21,7 +21,7 @@ from coconvex.semigroups import (complement_count, complement_points,
                                  iter_points_at_level, lattice_semigroup,
                                  level_height, mixed_multiplicity_semigroup,
                                  multiplicity, multiplicity_estimate,
-                                 okounkov_data, power_sequence,
+                                 power_sequence,
                                  primary_certificate, product_sequence,
                                  semigroup_ideal, sequence_t0, staircase_region,
                                  sum_ideals, _coset_complement)
@@ -242,6 +242,39 @@ def test_prune_sweep_edge_cases():
     assert min(ties) > 0
 
 
+def _antichains_and_counts(inputs):
+    """Antichain and complement count of every power k <= 4 of every
+    orthant ideal, from empty caches."""
+    semigroups.ideal_power.cache_clear()
+    semigroups._orthant_colength.cache_clear()
+    out = []
+    for n, gens in inputs:
+        ideal = semigroup_ideal(lattice_semigroup(orthant(n)), gens)
+        for k in range(1, 5):
+            power = ideal_power(ideal, k)
+            out.append((power.min_generators, complement_count(power)))
+    return out
+
+
+def test_orthant_fast_paths_match_general_paths(monkeypatch):
+    """The orthant branches of `_prune_to_antichain` and `complement_count`
+    against the facet-value prune and the coset count they shortcut, on
+    ideals shaped like the staircase-fit benchmark's: a pure power on every
+    axis plus a few random points."""
+    rng = random.Random(301)
+    inputs = []
+    for n, bound, extra in ((2, 6, 2), (3, 3, 0), (3, 3, 1)):
+        for _ in range(10):
+            gens = [tuple(rng.randint(1, bound) if i == j else 0 for j in range(n))
+                    for i in range(n)]
+            gens += [tuple(rng.randint(0, bound) for _ in range(n))
+                     for _ in range(rng.randint(extra, 2 * extra))]
+            inputs.append((n, [g for g in gens if any(g)]))
+    fast = _antichains_and_counts(inputs)
+    monkeypatch.setattr(semigroups, "_is_standard_orthant", lambda cone: False)
+    assert _antichains_and_counts(inputs) == fast
+
+
 def test_staircase_membership_consistent_with_sums():
     rng = random.Random(77)
     for _ in range(10):
@@ -282,6 +315,24 @@ def test_complement_paths_agree():
         assert fast == len(scanned) == len(brute)
         assert _coset_complement(ideal) == (tuple(sorted(scanned)), t1)
         assert complement_points(ideal) == tuple(brute)
+
+
+def test_points_at_level_match_box_filter():
+    """One bounding-box scan serves every cone, the orthant included: its
+    points at each level are those of a cube around the origin, in
+    lexicographic order.  A level-L point is a nonnegative combination of
+    rays r with ell(r) >= 1, so no coordinate exceeds L times the largest
+    ray entry."""
+    sgs = [lattice_semigroup(cone) for cone in ORACLE_CONES + COSET_CONES]
+    sgs += [lattice_semigroup(orthant(2), (2, 3)),
+            lattice_semigroup(orthant(3), (1, 2, 3))]
+    for sg in sgs:
+        reach = max(abs(x) for r in sg.cone.rays for x in r)
+        for level in range(-1, 21 if sg.dim <= 2 else 6 if sg.dim == 3 else 3):
+            box = range(-level * reach, level * reach + 1)
+            expected = [p for p in itertools.product(box, repeat=sg.dim)
+                        if dot(sg.ell, p) == level and sg.cone.contains(p)]
+            assert list(iter_points_at_level(sg, level)) == expected, (sg, level)
 
 
 def test_coset_count_matches_level_scan():
@@ -490,7 +541,7 @@ def test_multiplicity_explicit_estimate():
     inner, trend = multiplicity_estimate(explicit)
     assert inner == Fraction(1, 2)
     assert trend == Fraction(3, 4)
-    assert not okounkov_data(explicit).exact
+    assert not explicit.exact_region
     for exact in (a, product_sequence(a, a)):
         with pytest.raises(ValueError, match="use multiplicity"):
             multiplicity_estimate(exact)
@@ -504,7 +555,6 @@ def test_product_with_explicit_factor_is_inner():
     prod = product_sequence(explicit_sequence([m, ideal_power(m, 2)]),
                             power_sequence(m))
     assert not prod.exact_region
-    assert not okounkov_data(prod).exact
     with pytest.raises(ValueError, match="use multiplicity_estimate"):
         multiplicity(prod)
     # the bracket is read at the shortest explicit prefix, k = 2: the term

@@ -62,3 +62,43 @@ def test_new_caches_are_bounded():
     unbounded = [name for name, cache in _package_caches()
                  if name not in LEGACY_UNBOUNDED and cache.cache_info().maxsize is None]
     assert unbounded == []
+
+
+def _identifiers(path):
+    """Names a file refers to: bare names, attributes, imported names, and
+    string constants that are identifiers (getattr, monkeypatch and the
+    benchmark's tracing targets name functions that way)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            found.add(node.value)
+    return found
+
+
+def test_every_definition_is_referenced():
+    """Each function, method and class the package defines (dunders aside)
+    is named somewhere in src/, tests/ or bench/ besides its own def or
+    class line, so code that nothing runs does not linger."""
+    package = Path(coconvex.__file__).parent
+    repo = Path(__file__).parents[1]
+    defined = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(node.name, f"{path.name}:{node.lineno} {node.name}")
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert defined
+    referenced = set()
+    for top in ("src", "tests", "bench"):
+        for path in sorted((repo / top).rglob("*.py")):
+            referenced |= _identifiers(path)
+    assert [where for name, where in defined if name not in referenced] == []

@@ -8,6 +8,7 @@ import json
 from coconvex.cli import main
 from coconvex.cones import dual_description
 from coconvex.localalg import multiplicity, product_ideal
+from coconvex.radicals import compare_root_sum
 from coconvex.randgen import InstanceSpec, XorShift64Star, random_monomial_ideal
 from coconvex.semigroups import complement_count
 from coconvex.suites import (SUITES, suite_af_covol, suite_bm_covol,
@@ -90,10 +91,11 @@ def test_suite_reports_embed_instances():
 
 def test_bm_mult_suite_equality_on_homothetic_pair():
     # constructed check: a and a give e(a^2) = 2^n e(a), flagged as equality
-    from coconvex.localalg import monomial_ideal, multiplicity_bm_check
+    from coconvex.localalg import monomial_ideal
     a = monomial_ideal([(2, 0), (0, 3), (1, 1)])
-    holds, equal = multiplicity_bm_check(a, a)
-    assert holds and equal
+    e = multiplicity(a)
+    sign = compare_root_sum(e, e, multiplicity(product_ideal(a, a)), 2)
+    assert sign == 0  # holds, with equality
     assert multiplicity(product_ideal(a, a)) == 4 * multiplicity(a)
 
 
