@@ -15,6 +15,11 @@ a colength needs.  It is fraction-free: generators are scaled once to
 integer coefficients (same pivots), their products are taken over the
 integers, and rows are cross-multiplied.  Everything upstream (colength,
 multiplicity, Lech chain) reduces to staircase counting and covolume.
+
+The Lech chain e(a) <= e(in(a)) <= n! colength(a) reads e(a) off a
+reduction: n combinations J of the generators with J a^r = a^(r+1),
+checked by colengths, give e(a) = colength(J).  The Hilbert-Samuel fit is
+the fallback when no such J is found.
 """
 
 from __future__ import annotations
@@ -83,11 +88,6 @@ class Poly:
         for e, c in other.terms:
             acc[e] = acc.get(e, Fraction(0)) + c
         return Poly.from_dict(self.n, acc)
-
-    def min_total_degree(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial")
-        return min(sum(e) for e, _ in self.terms)
 
 
 def _clear_denominators(g: Poly) -> Poly:
@@ -419,7 +419,9 @@ def poly_local_ideal(gens, order: TermOrder = None, cap: int = 24) -> PolyLocalI
     return PolyLocalIdeal(generators=gens, order=order, m0=m0)
 
 
-@functools.lru_cache(maxsize=None)
+# One `multiplicity --kmax 24` call makes 24 entries in each of the two
+# caches below.
+@functools.lru_cache(maxsize=32)
 def _product_map(a: PolyLocalIdeal, k: int):
     """Multiset of generator indices -> product of the integer generators."""
     if k == 1:
@@ -438,7 +440,7 @@ def _power_products(a: PolyLocalIdeal, k: int):
     return tuple(_product_map(a, k).values())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _initial_pivots(a: PolyLocalIdeal, k: int):
     """(pivot set, completeness level D0) for in(a^k)."""
     r0 = max(a.order.ell)
@@ -514,7 +516,8 @@ class MultiplicityReport:
     Stabilization includes far-point confirmation inside the fit_depth
     budget, so in three or more variables the default budget usually
     reports only the certified bounds; raise fit_depth to pay for deeper
-    echelons.
+    echelons.  The Lech chain gets e(a) more cheaply from a reduction
+    (`_reduction_multiplicity`) and uses this fit only as the fallback.
     """
 
     n: int
@@ -526,13 +529,12 @@ class MultiplicityReport:
     fit_stabilized: bool
 
 
-def multiplicity_report(a: PolyLocalIdeal, kmax: int,
-                        fit_depth: int = None) -> MultiplicityReport:
+def _u_values(a: PolyLocalIdeal, kmax: int) -> tuple:
+    """u_k = e(in(a^k)) / k^n for k = 1..kmax, each checked against the
+    values at its divisors (see `MultiplicityReport`)."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     n = a.n
-    if fit_depth is None:
-        fit_depth = 24 if n <= 2 else 10
     u_values = []
     for k in range(1, kmax + 1):
         e_in = _staircase_multiplicity(initial_semigroup_ideal(a, k))
@@ -543,14 +545,30 @@ def multiplicity_report(a: PolyLocalIdeal, kmax: int,
                     f"e(in(a^{k}))/{k}^{n} = {u} exceeds the value "
                     f"{u_values[j - 1]} at the divisor {j}")
         u_values.append(u)
-    hs = hilbert_samuel(a, kmax)
+    return tuple(u_values)
+
+
+def _fitted_multiplicity(a: PolyLocalIdeal, fit_depth: int = None):
+    """n! times the stabilised leading coefficient of H(k) = colength(a^k),
+    or None when the fit does not stabilise within `fit_depth` powers
+    (by default 24 in up to two variables and 10 beyond)."""
+    n = a.n
+    if fit_depth is None:
+        fit_depth = 24 if n <= 2 else 10
     fit = stabilized_leading(lambda k: colength_of_power(a, k), n,
                              max_k=fit_depth)
-    e_fit = math.factorial(n) * fit[0] if fit else None
-    return MultiplicityReport(n=n, kmax=kmax, u_values=tuple(u_values),
+    return math.factorial(n) * fit[0] if fit else None
+
+
+def multiplicity_report(a: PolyLocalIdeal, kmax: int,
+                        fit_depth: int = None) -> MultiplicityReport:
+    u_values = _u_values(a, kmax)
+    hs = hilbert_samuel(a, kmax)
+    e_fit = _fitted_multiplicity(a, fit_depth)
+    return MultiplicityReport(n=a.n, kmax=kmax, u_values=u_values,
                               hilbert_values=tuple(hs),
                               e_upper=min(u_values), e_fit=e_fit,
-                              fit_stabilized=fit is not None)
+                              fit_stabilized=e_fit is not None)
 
 
 def mixed_multiplicity(ideals) -> int:
@@ -584,6 +602,56 @@ def bk_report(ideals) -> BernsteinKushnirenkoReport:
                                       dimension=n, statement=statement)
 
 
+# The reduction candidate for t has h_i = sum_j (i + 2 + t)^j g_j for
+# i < n: Vandermonde rows, so the n combinations are independent.
+_REDUCTION_SHIFTS = (0, 1, 2)
+# The largest r tried in J a^r = a^(r+1).
+_REDUCTION_DEPTH = 2
+
+
+def _combination(gens, base: int) -> Poly:
+    """sum_j base^j g_j."""
+    acc = collections.defaultdict(int)
+    for j, g in enumerate(gens):
+        for e, c in g.terms:
+            acc[e] += base ** j * c
+    return Poly.from_dict(gens[0].n, acc)
+
+
+def _reduction_multiplicity(a: PolyLocalIdeal):
+    """e(a) = colength(J) for a reduction J of a by n elements, or None.
+
+    An ideal with n generators is a parameter ideal and its own reduction.
+    Otherwise each candidate J = (h_0, ..., h_(n-1)) is certified m-primary
+    and checked against J a^r = a^(r+1) for r <= _REDUCTION_DEPTH: J a^r
+    lies inside a^(r+1) and both are m-primary, so equal colengths mean
+    equal ideals.  Then J is a reduction of a, so e(a) = e(J) (Northcott
+    and Rees), and e(J) = colength(J) as J is generated by a system of
+    parameters of a Cohen-Macaulay ring.  J a^r = a^(r+1) puts
+    m^((r+1) m0) inside J, so the m-primary certificate needs no larger
+    cap, and a candidate that fails within it is no reduction.
+    """
+    n, gens = a.n, a.generators
+    if len(gens) == n:
+        return colength(a)
+    for t in _REDUCTION_SHIFTS:
+        hs = [_combination(gens, i + 2 + t) for i in range(n)]
+        if any(h.is_zero for h in hs):
+            continue
+        try:
+            j = poly_local_ideal(hs, a.order,
+                                 cap=(_REDUCTION_DEPTH + 1) * a.m0)
+        except NotPrimaryWithinCap:
+            continue
+        for r in range(1, _REDUCTION_DEPTH + 1):
+            power = PolyLocalIdeal(generators=_power_products(a, r),
+                                   order=a.order, m0=r * a.m0)
+            if colength(product_ideal(j, power)) == \
+                    colength_of_power(a, r + 1):
+                return colength(j)
+    return None
+
+
 @dataclass(frozen=True)
 class LechChain:
     """e(a) <= e(in(a)) <= n! dim(R/a), with the best available e(a) bound."""
@@ -595,18 +663,26 @@ class LechChain:
 
 
 def lech_chain(a, kmax: int = 4) -> LechChain:
+    """The chain for a monomial ideal, or for a polynomial ideal with
+    e_upper the least u_k over k <= kmax.  For a polynomial ideal, e(a)
+    comes from a reduction (`_reduction_multiplicity`), or else from the
+    Hilbert-Samuel fit when it stabilises; `holds` then also checks
+    e(a) <= e_in.  Both values are exact, so they give the same chain."""
     if isinstance(a, MonomialIdealLocal):
         e = multiplicity(a)
         bound = math.factorial(a.n) * colength(a)
         return LechChain(e_upper=Fraction(e), e_in=e, bound=bound,
                          holds=e <= bound)
-    report = multiplicity_report(a, kmax)
-    e_in = _integral(report.u_values[0], "multiplicity")
+    u_values = _u_values(a, kmax)
+    e_in = _integral(u_values[0], "multiplicity")
     bound = math.factorial(a.n) * colength(a)
-    e_upper = report.e_upper
+    e_upper = min(u_values)
     holds = e_upper <= e_in <= bound
-    if report.e_fit is not None:
-        holds = holds and report.e_fit <= Fraction(e_in)
+    e = _reduction_multiplicity(a)
+    if e is None:
+        e = _fitted_multiplicity(a)
+    if e is not None:
+        holds = holds and e <= e_in
     return LechChain(e_upper=e_upper, e_in=e_in, bound=bound, holds=holds)
 
 

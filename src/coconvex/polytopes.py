@@ -115,21 +115,6 @@ def _hull_full_dim(pts, n):
                             halfspaces=halfspaces)
 
 
-def vertices_from_halfspaces(halfspaces, dim: int):
-    """Vertex set of a bounded polyhedron given by normal.x >= offset pairs."""
-    cons = [tuple(u) + (-Fraction(c),) for u, c in halfspaces]
-    cons.append(tuple(0 for _ in range(dim)) + (1,))
-    cons = [primitive(c) for c in cons]
-    gens = extreme_rays(cons, dim + 1)
-    vertices = []
-    for g in gens:
-        t = g[dim]
-        if t == 0:
-            raise ValueError("polyhedron is unbounded")
-        vertices.append(tuple(Fraction(x, t) for x in g[:dim]))
-    return sorted(vertices)
-
-
 def pull_simplices(face, d, tight):
     """Triangulation by pulling of a d-face of a polyhedron, as index tuples.
 

@@ -27,9 +27,11 @@ from coconvex.semigroups import (complement_count, ideal_power,
                                  power_sequence, product_sequence,
                                  staircase_region, sum_ideals)
 from coconvex.localalg import (_Echelon, _MonomialTable, _clear_denominators,
-                               _initial_pivots, _power_products)
+                               _initial_pivots, _power_products,
+                               _reduction_multiplicity)
 from coconvex.radicals import compare_root_sum
 from coconvex.regions import minkowski_sum
+from coconvex.suites import _lech_poly_corpus
 from test_linalg import reference_echelon
 
 ORD2 = standard_order(2)
@@ -42,6 +44,12 @@ Y3 = monomial(2, (0, 3))
 
 def poly2(coeffs):
     return Poly.from_dict(2, coeffs)
+
+
+def min_total_degree(f):
+    if f.is_zero:
+        raise ZeroPolynomial("zero polynomial")
+    return min(sum(e) for e, _ in f.terms)
 
 
 def random_poly(rng, n=2, max_terms=4, max_exp=4):
@@ -405,7 +413,7 @@ def test_good_valuation_certificate():
         lv = weighted.level(v)
         k = int(Fraction(lv) / cert_w.r0)
         if k >= 1:
-            assert f.min_total_degree() >= k
+            assert min_total_degree(f) >= k
 
 
 def test_weighted_order_initial_ideal():
@@ -559,7 +567,7 @@ def fraction_mprimary_exponent(gens, order, cap):
     for d in range(1, cap + 1):
         ech = FractionEchelon(order)
         for g in gens:
-            base = g.min_total_degree()
+            base = min_total_degree(g)
             if base > d:
                 continue
             for alpha in sorted(_points_below((1,) * n, d - base + 1)):
@@ -793,3 +801,80 @@ def test_echelon_scale_invariance():
         assert a.m0 == b.m0
         assert colength_of_power(a, 2) == colength_of_power(b, 2)
         assert colength(a) == colength(b)
+
+
+def reduction_corpus():
+    """Seeded ideals of the polynomial-lech shapes and the lech suite's
+    polynomial corpus."""
+    ideals = [poly_local_ideal(gens) for seed in (7, 11, 13)
+              for gens in far_power_corpus(random.Random(seed))]
+    return ideals + _lech_poly_corpus()
+
+
+def test_reduction_multiplicity_matches_fit():
+    # every ideal here is certified; a parameter ideal by its own colength
+    for a in reduction_corpus():
+        e = _reduction_multiplicity(a)
+        assert e is not None, a.generators
+        e_fit = multiplicity_report(a, 4).e_fit
+        if e_fit is not None:
+            assert e == e_fit, a.generators
+
+
+def test_reduction_multiplicity_three_variables():
+    x, y, z = (monomial(3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # the fit's default depth does not stabilise here; (x^2, y^2, z^2) is
+    # a reduction, so e(a) = 8
+    a = poly_local_ideal([x * x, y * y, z * z, x * y * z])
+    assert multiplicity_report(a, 4).e_fit is None
+    assert _reduction_multiplicity(a) == 8
+    assert lech_chain(a) == localalg.LechChain(
+        e_upper=Fraction(8), e_in=8, bound=42, holds=True)
+
+
+def test_reduction_fallback_keeps_lech_chain():
+    # no candidate closes by r = 2, so lech_chain falls back to the fit,
+    # which does not stabilise either; the chain is unchanged
+    x, y, z = (monomial(3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    a = poly_local_ideal([x * x + y * z, y * y, z * z, x * y])
+    assert _reduction_multiplicity(a) is None
+    assert lech_chain(a) == localalg.LechChain(
+        e_upper=Fraction(261, 32), e_in=10, bound=36, holds=True)
+
+
+def test_reduction_skips_candidate_not_primary(monkeypatch):
+    # t = -2 gives h_0 = x^2 and h_1 = x^2 + y^3 + (xy - y^3) = x(x + y),
+    # both in (x): J is not m-primary, and the certificate skips it
+    a = poly_local_ideal([X2, Y3, X * Y + monomial(2, (0, 3), -1)])
+    bad = [localalg._combination(a.generators, base) for base in (0, 1)]
+    assert bad == [X2, X2 + X * Y]
+    with pytest.raises(NotPrimaryWithinCap):
+        mprimary_exponent(bad, a.order, 3 * a.m0)
+    monkeypatch.setattr(localalg, "_REDUCTION_SHIFTS", (-2,))
+    assert _reduction_multiplicity(a) is None
+    monkeypatch.setattr(localalg, "_REDUCTION_SHIFTS", (-2, 0))
+    assert _reduction_multiplicity(a) == multiplicity_report(a, 4).e_fit == 5
+
+
+def test_echelon_matches_dense_on_lech_inputs(monkeypatch):
+    # the echelons a lech call builds: powers k <= 2 of the polynomial-lech
+    # shapes, and the products J a^r of the reduction certificate
+    products = []
+    real = localalg.product_ideal
+
+    def recorded(a, b):
+        products.append(real(a, b))
+        return products[-1]
+
+    monkeypatch.setattr(localalg, "product_ideal", recorded)
+    for gens in far_power_corpus(random.Random(7)):
+        a = poly_local_ideal(gens)
+        for k in (1, 2):
+            pivots, d0 = _initial_pivots(a, k)
+            assert pivots == dense_truncated_echelon(
+                _power_products(a, k), a.order, d0), (gens, k)
+        _reduction_multiplicity(a)
+    assert products
+    for p in products:
+        pivots, d0 = _initial_pivots(p, 1)
+        assert pivots == dense_truncated_echelon(p.generators, p.order, d0)

@@ -13,8 +13,7 @@ from coconvex.linalg import (det, dot, nullspace, primitive,
                              rank, vec_sub)
 from coconvex.polytopes import (RationalPolytope, _hull_full_dim,
                                 homogenized_hull, hull_vertices,
-                                polytope_volume, pull_simplices, triangulate,
-                                vertices_from_halfspaces)
+                                polytope_volume, pull_simplices, triangulate)
 from lp import nonnegative_combination
 from test_linalg import reference_echelon, reference_independent_subset
 
@@ -46,6 +45,21 @@ def sort_ccw(points):
             ordered.append(best)
     # ordered is clockwise within buckets; reverse for ccw consistency
     return ordered
+
+
+def vertices_from_halfspaces(halfspaces, dim: int):
+    """Vertex set of a bounded polyhedron given by normal.x >= offset pairs."""
+    cons = [tuple(u) + (-Fraction(c),) for u, c in halfspaces]
+    cons.append(tuple(0 for _ in range(dim)) + (1,))
+    cons = [primitive(c) for c in cons]
+    gens = extreme_rays(cons, dim + 1)
+    vertices = []
+    for g in gens:
+        t = g[dim]
+        if t == 0:
+            raise ValueError("polyhedron is unbounded")
+        vertices.append(tuple(Fraction(x, t) for x in g[:dim]))
+    return sorted(vertices)
 
 
 def shoelace(ordered):

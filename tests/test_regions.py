@@ -14,14 +14,14 @@ from coconvex.jsonio import region_to_json
 from coconvex.linalg import det, dot
 from coconvex.localalg import monomial_ideal
 from coconvex.polytopes import (hull_vertices, polytope_volume,
-                                triangulate_points, vertices_from_halfspaces)
+                                triangulate_points)
 from coconvex.radicals import compare_root_sum
 from coconvex.regions import (_newton_region, coconvex_body, cone_region,
                               covol, minkowski_sum, mixed_covol,
                               newton_diagram, newton_region, scale)
 from coconvex.semigroups import lattice_semigroup, semigroup_ideal
 
-from test_polytopes import shoelace
+from test_polytopes import shoelace, vertices_from_halfspaces
 
 O2 = orthant(2)
 O3 = orthant(3)

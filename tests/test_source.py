@@ -35,7 +35,7 @@ def test_traced_targets_resolve():
 
 # Caches that predate the rule that a new cache starts bounded.
 LEGACY_UNBOUNDED = {"ideal_power", "covol", "_cosets", "_orthant_colength",
-                    "hilbert_basis", "_initial_pivots", "_product_map"}
+                    "hilbert_basis"}
 
 
 def _package_caches():
