@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Each subcommand is one row of COMMANDS.  Its handler reads a JSON file
+Each subcommand is one row of COMMANDS.  A command line is parsed by its
+own command's parser; the full tree (build_parser) handles top-level help,
+leftover arguments and unknown commands.  The handler reads a JSON file
 (see jsonio for the schemas) and returns the payload that main writes as
 JSON or a plain table; verify writes its own report.  Exit codes: 0
 success, 1 an inequality suite found a violation, 2 malformed input or
@@ -227,6 +229,17 @@ COMMANDS = (
 )
 
 
+def _add_arguments(parser, command: Command) -> argparse.ArgumentParser:
+    if command.reads_input:
+        parser.add_argument("--input", required=True, help="JSON input file")
+    parser.add_argument("--format", choices=("json", "table"), default="json")
+    parser.add_argument("--output", help="write to this file instead of stdout")
+    for flag, options in command.arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=command.handler, command=command.name)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coconvex",
@@ -234,19 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "and covolumes")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        p = sub.add_parser(command.name, help=command.help)
-        if command.reads_input:
-            p.add_argument("--input", required=True, help="JSON input file")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--output", help="write to this file instead of stdout")
-        for flag, options in command.arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(func=command.handler)
+        _add_arguments(sub.add_parser(command.name, help=command.help), command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = None, ()
+    for command in COMMANDS:
+        if argv[:1] == [command.name]:
+            parser = argparse.ArgumentParser(prog=f"coconvex {command.name}")
+            args, extras = _add_arguments(parser, command).parse_known_args(argv[1:])
+    if args is None or extras:
+        args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
         if isinstance(result, int):  # verify wrote its own report

@@ -402,7 +402,16 @@ CLI_SURFACE = {
 }
 
 
-def test_parser_surface_pinned():
+def option_rows(parser):
+    """(flags, default, type, choices, required) of each option but -h."""
+    return [(tuple(action.option_strings), action.default, action.type,
+             None if action.choices is None else tuple(action.choices),
+             action.required)
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)]
+
+
+def test_parser_surface_pinned(capsys, monkeypatch):
     parser = cli.build_parser()
     assert parser.prog == "coconvex"
     (sub,) = [action for action in parser._actions
@@ -412,9 +421,109 @@ def test_parser_surface_pinned():
     helps = {action.dest: action.help for action in sub._choices_actions}
     for name, (help_text, options) in CLI_SURFACE.items():
         assert helps[name] == help_text, name
-        got = [(tuple(action.option_strings), action.default, action.type,
-                None if action.choices is None else tuple(action.choices),
-                action.required)
-               for action in sub.choices[name]._actions
-               if not isinstance(action, argparse._HelpAction)]
-        assert got == options, name
+        assert option_rows(sub.choices[name]) == options, name
+    # main parses a command line with that command's parser alone; it must
+    # offer exactly the subparser's options
+    built = []
+    add_arguments = cli._add_arguments
+    monkeypatch.setattr(cli, "_add_arguments", lambda parser, command: (
+        built.append(parser) or add_arguments(parser, command)))
+    for name, (_, options) in CLI_SURFACE.items():
+        built.clear()
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        capsys.readouterr()
+        (own,) = built
+        assert own.prog == f"coconvex {name}"
+        assert option_rows(own) == options, name
+
+
+WELL_FORMED = {
+    "multiplicity": (M2, ["--kmax", "3", "--format", "table"]),
+    "covolume": ({"generators": [[3, 0], [1, 1], [0, 2]], "ell": [1, 1]}, []),
+    "newton": (M2, ["--format", "json"]),
+    "mixed": ({"ideals": [M2, M2]}, []),
+    "hilbert-samuel": (M2, ["--kmax", "3"]),
+    "initial-ideal": (POLY_A, ["--k", "2"]),
+    "lech": (POLY_A, []),
+    "bk": ({"ideals": [M2, M2]}, []),
+    "verify": (None, ["--suite", "bm-covol", "--count", "1", "--seed", "2"]),
+}
+
+
+def test_well_formed_lines_skip_the_full_tree(tmp_path, capsys, monkeypatch):
+    """A well-formed command line is parsed without building the parser of
+    all nine commands, which costs several times one command's parser."""
+    def no_tree():
+        raise AssertionError("main built the full parser tree")
+
+    monkeypatch.setattr(cli, "build_parser", no_tree)
+    assert list(WELL_FORMED) == [command.name for command in cli.COMMANDS]
+    for name, (payload, options) in WELL_FORMED.items():
+        argv = [name, *options]
+        if payload is not None:
+            argv += ["--input", write(tmp_path, f"{name}.json", payload)]
+        code, out, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+        assert out
+
+
+def _parse_outcomes(capsys, monkeypatch, argv):
+    """(result, stdout, stderr) of parsing argv through main and through the
+    full tree; the result is the parsed namespace or the exit code."""
+    def record(args):
+        seen.append(vars(args))
+        return 0
+
+    seen = []
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        command._replace(handler=record) for command in cli.COMMANDS))
+    outcomes = []
+    for parse in (lambda: main(argv) == 0 and seen.pop(),
+                  lambda: vars(cli.build_parser().parse_args(argv))):
+        try:
+            result = parse()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        out = capsys.readouterr()
+        outcomes.append((result, out.out, out.err))
+    return outcomes
+
+
+def _edge_lines(command):
+    """Help, a missing required option, a bad choice, an unknown flag, a
+    stray positional, a dangling option, abbreviations and a good line."""
+    name = command.name
+    line = ([name, "--input", "in.json"] if command.reads_input
+            else [name, "--suite", "bm-covol"])
+    return [[name, "--help"], [name, "-h"], [name], [name, "--input"],
+            line, line + ["--format", "yaml"], line + ["--bogus"],
+            line + ["stray"], line + ["--sui", "lech"], line + ["--form", "table"],
+            line + ["--output"], line + ["-h"]]
+
+
+# The command lines the tests above reject through run_rejected.
+RUN_REJECTED = [
+    ["initial-ideal", "--input", "a.json", "--k", "0"],
+    ["verify", "--suite", "bm-covol", "--dim", "0"],
+    ["verify", "--suite", "bm-covol", "--count", "-1"],
+    ["hilbert-samuel", "--input", "never-read.json", "--kmax", "0"],
+    ["verify", "--suite", "bm-covol", "--exponent-bound", "0"],
+]
+TOP_LEVEL = [[], ["-h"], ["--help"], ["bogus"], ["--bogus"],
+             ["--format", "json", "lech"], ["Lech", "--input", "in.json"],
+             ["verify", "--suite", "nope"], ["verify", "--sui", "lech"],
+             ["verify", "--suite", "lech", "--seed", "x"]]
+
+
+@pytest.mark.parametrize("group", [command.name for command in cli.COMMANDS]
+                         + ["run-rejected", "top-level"])
+def test_main_parses_like_the_full_tree(capsys, monkeypatch, group):
+    """main and build_parser().parse_args give the same namespace, or the
+    same exit code, stdout and stderr, on help, errors and good lines."""
+    monkeypatch.setenv("COLUMNS", "60")  # argparse wraps help to the terminal
+    commands = {command.name: command for command in cli.COMMANDS}
+    lines = {"run-rejected": RUN_REJECTED, "top-level": TOP_LEVEL}.get(group)
+    for argv in lines or _edge_lines(commands[group]):
+        via_main, via_tree = _parse_outcomes(capsys, monkeypatch, argv)
+        assert via_main == via_tree, argv
