@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .errors import SingularSystem
@@ -19,20 +21,19 @@ def fit_polynomial(ks, values):
     return coeffs
 
 
-def _poly_eval(coeffs, k):
-    return sum(c * Fraction(k) ** j for j, c in enumerate(coeffs))
-
-
 def stabilized_leading(values_fn, degree: int, max_k: int = 64):
     """Leading coefficient of an eventually-polynomial integer sequence.
 
-    `values_fn(k)` returns the exact sequence value (memoized here).  A
-    window fit through k = K..K+degree must predict K+degree+1, do so for
-    two consecutive K with the same leading coefficient, and then match
-    the sequence exactly at degree+1 far points starting at 2(K+degree+1).
-    Once the sequence is truly polynomial the far check always passes;
-    before that, a wrong fitted polynomial can agree with the true one in
-    at most `degree` points, so the confirmation rejects plateau artifacts
+    `values_fn(k)` returns the exact sequence value (memoized here).  The
+    window k = K..K+degree determines the polynomial
+    P(t) = sum_j C(t - K, j) D^j v(K) through its forward differences
+    D^j v(K), with leading coefficient D^degree v(K) / degree!.  P must
+    predict K+degree+1 (D^(degree+1) v(K) = 0), do so for two consecutive K
+    with the same leading coefficient, and then match the sequence exactly
+    at degree+1 far points starting at 2(K+degree+1).  Once the sequence is
+    truly polynomial the far check always passes; before that, a wrong
+    fitted polynomial can agree with the true one in at most `degree`
+    points, so the confirmation rejects plateau artifacts
     (quasi-polynomial transients fool the bare two-in-a-row rule).
 
     Returns (lead, K) or None when max_k is reached without confirmation.
@@ -44,22 +45,26 @@ def stabilized_leading(values_fn, degree: int, max_k: int = 64):
             memo[k] = values_fn(k)
         return memo[k]
 
+    scale = math.factorial(degree)
     lead_prev = None
     for start in range(1, max_k - degree):
-        ks = list(range(start, start + degree + 1))
-        coeffs = fit_polynomial(ks, [value(k) for k in ks])
-        if _poly_eval(coeffs, start + degree + 1) != value(start + degree + 1):
+        row = [value(k) for k in range(start, start + degree + 2)]
+        diffs = []
+        for _ in range(degree + 1):
+            diffs.append(row[0])
+            row = list(map(operator.sub, row[1:], row))
+        if row[0] != 0:
             lead_prev = None
             continue
-        lead = coeffs[-1]
+        lead = Fraction(diffs[-1], scale)
         if lead_prev != lead:
             lead_prev = lead
             continue
         far = 2 * (start + degree + 1)
         if far + degree > max_k:
             return None
-        if all(_poly_eval(coeffs, f) == value(f)
-               for f in range(far, far + degree + 1)):
+        if all(sum(math.comb(f - start, j) * dj for j, dj in enumerate(diffs))
+               == value(f) for f in range(far, far + degree + 1)):
             return lead, start - 1
     return None
 

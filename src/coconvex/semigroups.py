@@ -1,16 +1,17 @@
 """Lattice semigroups S = cone & Z^n, staircase ideals, and their counting.
 
 A semigroup ideal is stored by its antichain of minimal generators.
-Every antichain (generators, sums and powers of ideals, orthant slices,
-the Hilbert basis) comes from one prune: candidates are swept in
-lexicographic order of their facet values, so each is compared only with
-the points already kept, and with at most three facets that comparison is
-one query on a staircase of the kept points.  The Hilbert-Samuel function
-counts the finite complement S \\ I_k.  Every count splits the cone into
+Every antichain (generators, sums and powers of ideals, the Hilbert
+basis) comes from one prune: candidates are swept in lexicographic order
+of their facet values, so each is compared only with the points already
+kept, and with at most three facets that comparison is one query on a
+staircase of the kept points.  The Hilbert-Samuel function counts the
+finite complement S \\ I_k.  Every count splits the cone into
 simplicial pieces and each piece into the |det| cosets of the lattice
 spanned by its rays, one lattice point b of the half-open fundamental
 parallelepiped each.  On a simplicial cone the ideal above b is an
-orthant staircase in ray coordinates, counted by the slice recursion.  On
+orthant staircase in ray coordinates, counted in closed form in the plane
+and by slices grown along the last coordinate above it, with no prune.  On
 any cone a complement point sits below the least generator multiple of
 each ray in some piece, so the complement and its top level are read off
 those coset boxes.  The same coset points are the Hilbert basis
@@ -159,7 +160,7 @@ def ideal_power(ideal: SemigroupIdealSet, k: int) -> SemigroupIdealSet:
 def sum_ideals(a: SemigroupIdealSet, b: SemigroupIdealSet) -> SemigroupIdealSet:
     if a.semigroup != b.semigroup:
         raise ConeMismatch("ideals over different semigroups")
-    sums = {tuple(x + y for x, y in zip(p, q))
+    sums = {tuple(map(operator.add, p, q))
             for p in a.min_generators for q in b.min_generators}
     return SemigroupIdealSet(semigroup=a.semigroup,
                              min_generators=_prune_to_antichain(a.semigroup.cone, sums))
@@ -311,29 +312,45 @@ def complement_points(ideal: SemigroupIdealSet) -> tuple:
     return _coset_complement(ideal)[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _orthant_colength(gens: frozenset, n: int) -> int:
-    """Complement count of an orthant staircase by last-coordinate slices."""
+def _orthant_colength(gens, n: int) -> int:
+    """#(N^n minus the union of g + N^n), for any sequence of generators:
+    neither an antichain nor distinct points are needed.
+
+    In the plane, sorted by x, the column at x holds the points below the
+    least y of the generators with first coordinate <= x, so the count is
+    the sum of (x_{i+1} - x_i) m_i over the running minima m_i of y, taken
+    where the minimum drops; it is finite exactly when the first x and the
+    last running minimum are 0.
+    Above that, sorted by the last coordinate, the slice at height h is the
+    staircase of the generators with last coordinate <= h, constant between
+    consecutive last coordinates and grown as the height rises; it must be
+    everything from the highest of them on.
+    """
     if n == 1:
         if not gens:
             raise NotPrimary(NEVER_DOMINATED)
         return min(g[0] for g in gens)
-    cuts = sorted({g[-1] for g in gens})
-    if not cuts:
+    if n == 2:
+        ordered = sorted(gens)
+        if not ordered or ordered[0][0]:
+            raise NotPrimary(NEVER_DOMINATED)
+        total = 0
+        x0, low = ordered[0]
+        for x, y in ordered:
+            if y < low:
+                total += (x - x0) * low
+                x0, low = x, y
+        if low:
+            raise NotPrimary(NEVER_DOMINATED)
+        return total
+    total, height, layer = 0, 0, []
+    for g in sorted(gens, key=operator.itemgetter(-1)):
+        if g[-1] > height:
+            total += (g[-1] - height) * _orthant_colength(layer, n - 1)
+            height = g[-1]
+        layer.append(g[:-1])
+    if _orthant_colength(layer, n - 1):
         raise NotPrimary(NEVER_DOMINATED)
-    if cuts[0] != 0:
-        cuts = [0] + cuts
-    total = 0
-    for j, v in enumerate(cuts):
-        active = frozenset(_minima(
-            [(p, p) for p in sorted({g[:-1] for g in gens if g[-1] <= v})], n - 1))
-        if j + 1 < len(cuts):
-            if not active:
-                raise NotPrimary(NEVER_DOMINATED)
-            total += (cuts[j + 1] - v) * _orthant_colength(active, n - 1)
-        else:
-            if _orthant_colength(active, n - 1) != 0:
-                raise NotPrimary(NEVER_DOMINATED)
     return total
 
 
@@ -359,7 +376,7 @@ def complement_count(ideal: SemigroupIdealSet) -> int:
     sg = ideal.semigroup
     n = sg.dim
     if _is_standard_orthant(sg.cone):
-        return _orthant_colength(frozenset(ideal.min_generators), n)
+        return _orthant_colength(ideal.min_generators, n)
     if len(sg.cone.rays) != n:
         return len(_coset_complement(ideal)[0])
     d, adj, cosets = _cosets(sg.cone.rays)
@@ -367,8 +384,7 @@ def complement_count(ideal: SemigroupIdealSet) -> int:
     total = 0
     for c, _ in cosets:
         # ceil((a . g - c) / d), never negative: a . g >= 0 and c < d
-        gens = frozenset(tuple(-((x - y) // d) for x, y in zip(c, ag))
-                         for ag in coords)
+        gens = [tuple(-((x - y) // d) for x, y in zip(c, ag)) for ag in coords]
         total += _orthant_colength(gens, n)
     return total
 

@@ -212,7 +212,7 @@ def test_prune_matches_all_pairs_oracle():
 def test_prune_sweep_edge_cases():
     """The sweep against both oracles on duplicates, ties in the first and
     second sweep values, the zero point and the empty list, which the
-    orthant slice recursion prunes at its v = 0 cut when no generator has
+    reference slice recursion prunes at its v = 0 cut when no generator has
     last coordinate 0.  Points are drawn with repeats from a small box,
     where ties are common."""
     orthant3 = orthant(3)
@@ -246,7 +246,6 @@ def _antichains_and_counts(inputs):
     """Antichain and complement count of every power k <= 4 of every
     orthant ideal, from empty caches."""
     semigroups.ideal_power.cache_clear()
-    semigroups._orthant_colength.cache_clear()
     out = []
     for n, gens in inputs:
         ideal = semigroup_ideal(lattice_semigroup(orthant(n)), gens)
@@ -273,6 +272,62 @@ def test_orthant_fast_paths_match_general_paths(monkeypatch):
     fast = _antichains_and_counts(inputs)
     monkeypatch.setattr(semigroups, "_is_standard_orthant", lambda cone: False)
     assert _antichains_and_counts(inputs) == fast
+
+
+def slice_recursion_colength(gens, n):
+    """Reference orthant count: the slice recursion, each slice rebuilt
+    from every generator at each distinct last coordinate and pruned."""
+    if n == 1:
+        if not gens:
+            raise NotPrimary(semigroups.NEVER_DOMINATED)
+        return min(g[0] for g in gens)
+    cuts = sorted({g[-1] for g in gens})
+    if not cuts:
+        raise NotPrimary(semigroups.NEVER_DOMINATED)
+    if cuts[0] != 0:
+        cuts = [0] + cuts
+    total = 0
+    for j, v in enumerate(cuts):
+        active = semigroups._minima(
+            [(p, p) for p in sorted({g[:-1] for g in gens if g[-1] <= v})], n - 1)
+        if j + 1 < len(cuts):
+            if not active:
+                raise NotPrimary(semigroups.NEVER_DOMINATED)
+            total += (cuts[j + 1] - v) * slice_recursion_colength(active, n - 1)
+        elif slice_recursion_colength(active, n - 1) != 0:
+            raise NotPrimary(semigroups.NEVER_DOMINATED)
+    return total
+
+
+def test_orthant_count_matches_slice_recursion_and_brute_force():
+    """The plane closed form and the grown slices against the slice
+    recursion and a box count, on random generator lists with dominated
+    points and repeats; without a pure power on some axis all raise."""
+    rng = random.Random(20)
+    seen = {"dominated": 0, "repeated": 0, "not primary": 0}
+    for n in (2, 3) * 300:
+        gens = rng.choices(list(itertools.product(range(4), repeat=n)),
+                           k=rng.randint(0, 9))
+        for i in range(n):
+            if rng.random() < 0.9:
+                gens.insert(rng.randint(0, len(gens)),
+                            tuple(rng.randint(0, 5) if j == i else 0
+                                  for j in range(n)))
+        primary = all(any(all(g[j] == 0 for j in range(n) if j != i) for g in gens)
+                      for i in range(n))
+        if primary:
+            expected = len(brute_force_complement(gens))
+            assert slice_recursion_colength(gens, n) == expected
+            assert semigroups._orthant_colength(gens, n) == expected
+        else:
+            seen["not primary"] += 1
+            with pytest.raises(NotPrimary):
+                slice_recursion_colength(gens, n)
+            with pytest.raises(NotPrimary):
+                semigroups._orthant_colength(gens, n)
+        seen["dominated"] += len(all_pairs_prune(orthant(n), gens)) < len(set(gens))
+        seen["repeated"] += len(set(gens)) < len(gens)
+    assert min(seen.values()) > 20
 
 
 def test_staircase_membership_consistent_with_sums():
