@@ -1,7 +1,11 @@
 """Rational polytopes: hulls, dual descriptions, triangulation, exact volume.
 
 Both representations are obtained by homogenizing to a pointed cone one
-dimension up and running the double-description pass from `cones`.
+dimension up and running the double-description pass from `cones`, except
+for a plane region conv(points) + cone(r1, r2) over two independent rays
+(every Newton region in dimension 2): its facets and vertices come from
+Andrew's monotone chain in the coordinates that map the cone onto the
+orthant.
 A lower-dimensional point set gets coordinates in one way only: it is
 projected onto the pivot coordinates of its affine span
 (`linalg.pivot_columns`), where the projection is injective, handled
@@ -86,13 +90,18 @@ def hull_vertices(points) -> RationalPolytope:
 def homogenized_hull(points, rays, n: int):
     """Facets and vertices of conv(points) + cone(rays) in R^n.
 
-    One double-description pass over the points lifted with 1 and the rays
-    lifted with 0.  Returns the sorted (normal, offset) pairs, meaning
-    normal.x >= offset with primitive integer normals, and, in input order,
-    the points at which the tight facets have rank n: for points of the
-    polyhedron these are exactly its vertices.  A point lifts once to a
-    primitive integer q, at which a facet f is tight when f . q = 0.
+    Returns the sorted (normal, offset) pairs, meaning normal.x >= offset
+    with primitive integer normals, and, in input order, the points at
+    which the tight facets have rank n: for points of the polyhedron these
+    are exactly its vertices.  A plane region over two independent rays
+    comes from `_planar_hull`.  Every other input takes one
+    double-description pass over the points lifted with 1 and the rays
+    lifted with 0; a point lifts once to a primitive integer q, at which a
+    facet f is tight when f . q = 0.
     """
+    if (points and n == 2 and len(rays) == 2
+            and rays[0][0] * rays[1][1] != rays[0][1] * rays[1][0]):
+        return _planar_hull(points, rays)
     lifted = [primitive(tuple(p) + (1,)) for p in points]
     normals = extreme_rays(lifted + [tuple(r) + (0,) for r in rays], n + 1)
     # A zero spatial normal is the lifted cone's facet t >= 0, not a facet
@@ -102,6 +111,45 @@ def homogenized_hull(points, rays, n: int):
     vertices = tuple(p for p, q in zip(points, lifted)
                      if rank([f[:n] for f in facets if dot(f, q) == 0]) == n)
     return halfspaces, vertices
+
+
+def _planar_hull(points, rays):
+    """`homogenized_hull` in R^2 over two independent rays r1, r2.
+
+    With u1 perpendicular to r1, u1.r2 > 0, and u2 perpendicular to r2,
+    u2.r1 > 0, the key p -> (u2.p, u1.p) maps the cone onto the orthant.
+    Andrew's monotone chain (1979) runs over the points sorted by key: it
+    skips a point whose second coordinate does not drop below the last kept
+    one and pops while the turn is not strictly counter-clockwise.  The
+    facets are u2 at the first chain vertex, each edge normal signed
+    positive on r1, and u1 at the last vertex, each normalised as the lifted
+    normal primitive(u, -u.v), as the double-description pass returns it.
+    Every input point equal to a chain vertex, duplicates included, is a
+    vertex.
+    """
+    (a1, b1), (a2, b2) = rays
+    s = 1 if a1 * b2 > b1 * a2 else -1
+    u1, u2 = (-s * b1, s * a1), (s * b2, -s * a2)
+    chain = []
+    for key, v in sorted({(dot(u2, p), dot(u1, p)): tuple(p) for p in points}.items()):
+        if chain and key[1] >= chain[-1][0][1]:
+            continue
+        while len(chain) > 1:
+            (x0, y0), (x1, y1) = chain[-2][0], chain[-1][0]
+            if (x1 - x0) * (key[1] - y0) - (y1 - y0) * (key[0] - x0) > 0:
+                break
+            chain.pop()
+        chain.append((key, v))
+    vs = [v for _, v in chain]
+    kept = set(vs)
+    normals = [u2]
+    for v, w in zip(vs, vs[1:]):
+        u = (v[1] - w[1], w[0] - v[0])
+        normals.append(u if dot(u, rays[0]) > 0 else (-u[0], -u[1]))
+    normals.append(u1)
+    facets = [primitive(u + (-dot(u, v),)) for u, v in zip(normals, vs[:1] + vs)]
+    halfspaces = tuple(sorted((f[:2], Fraction(-f[2])) for f in facets))
+    return halfspaces, tuple(p for p in points if tuple(p) in kept)
 
 
 def _hull_full_dim(pts, n):

@@ -103,7 +103,7 @@ def _newton_region(cone: RationalCone, gens: tuple, ell: tuple) -> NewtonRegion:
                         facets=facets, threshold=threshold)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def covol(region: NewtonRegion) -> Fraction:
     """Exact volume of the coconvex body cone \\ region.
 

@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from coconvex.errors import DegeneratePolytope, InvariantViolation
-from coconvex.cones import extreme_rays
+from coconvex import polytopes, regions
+from coconvex.errors import (DegeneratePolytope, InvariantViolation,
+                             NotFullDimensional, NotStronglyConvex)
+from coconvex.cones import dual_description, extreme_rays, orthant
 from coconvex.linalg import (det, dot, nullspace, primitive,
                              rank, vec_sub)
 from coconvex.polytopes import (RationalPolytope, _hull_full_dim,
                                 homogenized_hull, hull_vertices,
                                 polytope_volume, pull_simplices, triangulate)
+from coconvex.regions import newton_region
 from lp import nonnegative_combination
 from test_linalg import reference_echelon, reference_independent_subset
 
@@ -492,3 +495,76 @@ def test_integer_vertex_test_matches_fraction_offsets():
         kept += len(vertices)
         dropped += len(pts) - len(vertices)
     assert kept >= 1000 and dropped >= 500, (kept, dropped)
+
+
+def _chain_edges(halfspaces, vertices, rays):
+    """Pairs of distinct vertices tight on one bounded facet."""
+    return [pair for u, c in halfspaces if all(dot(u, r) > 0 for r in rays)
+            for pair in itertools.combinations(
+                sorted({v for v in vertices if dot(u, v) == c}), 2)]
+
+
+def test_planar_chain_matches_double_description():
+    """The monotone chain of a plane region over two independent rays finds
+    the same halfspaces and vertices as the double-description reference,
+    over random acute, obtuse and skew cones: integer cone points, rational
+    points (denominators up to 4) inside and outside the cone, duplicated
+    points, midpoints of chain edges, and a single point or the origin."""
+    rng = random.Random(37)
+    shapes = {"acute": 0, "obtuse": 0, "skew": 0}
+    midpoints = 0
+    for case in range(400):
+        rays = None
+        while rays is None:
+            try:
+                rays = dual_description([(rng.randint(-4, 4), rng.randint(-4, 4))
+                                         for _ in range(2)]).rays
+            except (ValueError, NotFullDimensional, NotStronglyConvex):
+                pass
+        if dot(*rays):
+            shapes["acute" if dot(*rays) > 0 else "obtuse"] += 1
+        shapes["skew"] += abs(det(rays)) > 1
+        if case % 10 == 0:
+            pts = [rng.choice([(0, 0), (Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                                        rng.randint(-3, 3))])]
+        else:
+            pts = []
+            for _ in range(rng.randint(1, 6)):
+                a, b = rng.randint(0, 4), rng.randint(0, 4)
+                pts.append(tuple(a * x + b * y for x, y in zip(*rays)))
+                pts.append(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                 for _ in range(2)))
+            pts += rng.sample(pts, 2)
+            halfspaces, vertices = fraction_homogenized_hull(pts, rays, 2)
+            for v, w in _chain_edges(halfspaces, vertices, rays)[:2]:
+                pts.append(tuple(Fraction(x + y, 2) for x, y in zip(v, w)))
+                midpoints += 1
+            rng.shuffle(pts)
+        expected = fraction_homogenized_hull(pts, rays, 2)
+        assert homogenized_hull(pts, rays, 2) == expected, (pts, rays)
+    assert min(shapes.values()) >= 50 and midpoints >= 200, (shapes, midpoints)
+
+
+def test_planar_hulls_skip_the_double_description_pass(monkeypatch):
+    """Plane regions over two independent rays never reach the
+    double-description pass, while a bounded plane hull still does."""
+    cases = [(orthant(2), [(0, 3), (1, 1), (Fraction(5, 2), 0), (2, 2), (1, 1)]),
+             (dual_description([(1, 0), (1, 2)]),
+              [(2, 4), (1, 1), (Fraction(5, 2), 0), (3, 2), (1, 1), (2, 2)])]
+    expected = [fraction_homogenized_hull(sorted(set(pts)), cone.rays, 2)
+                for cone, pts in cases]
+
+    class PassReached(Exception):
+        pass
+
+    def no_pass(constraints, dim):
+        raise PassReached
+
+    regions._newton_region.cache_clear()
+    monkeypatch.setattr(polytopes, "extreme_rays", no_pass)
+    for (cone, pts), (halfspaces, vertices) in zip(cases, expected):
+        assert homogenized_hull(sorted(set(pts)), cone.rays, 2) == (halfspaces, vertices)
+        region = newton_region(cone, pts, (1, 1))
+        assert (region.facets, region.generators) == (halfspaces, vertices)
+    with pytest.raises(PassReached):
+        hull_vertices(cases[0][1])
