@@ -92,11 +92,9 @@ def extreme_rays(constraints, dim: int):
                 if combo in new_seen:
                     continue
                 new_seen.add(combo)
-                mask = 0
-                for i in range(idx + 1):
-                    if dot(cons[i], combo) == 0:
-                        mask |= 1 << i
-                new.append((combo, mask))
+                # A positive combination of two rays that are >= 0 on every
+                # earlier constraint is tight exactly where both are.
+                new.append((combo, common | 1 << idx))
         rays = [(v, m) for v, m, _ in pos] + zero + new
 
     return sorted(v for v, _ in rays)

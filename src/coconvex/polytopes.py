@@ -11,7 +11,8 @@ projected onto the pivot coordinates of its affine span
 (`linalg.pivot_columns`), where the projection is injective, handled
 there as a full-dimensional polytope, and mapped back point by point.
 Faces are triangulated by pulling over facet incidences, with no further
-hull.  A lower-dimensional polytope has volume zero.
+hull.  A lower-dimensional polytope has volume zero.  The area of a
+polygon (`hull_volume`) comes from a monotone chain too, with no pass.
 """
 
 from __future__ import annotations
@@ -95,15 +96,17 @@ def homogenized_hull(points, rays, n: int):
     which the tight facets have rank n: for points of the polyhedron these
     are exactly its vertices.  A plane region over two independent rays
     comes from `_planar_hull`.  Every other input takes one
-    double-description pass over the points lifted with 1 and the rays
-    lifted with 0; a point lifts once to a primitive integer q, at which a
-    facet f is tight when f . q = 0.
+    double-description pass over the rays lifted with 0, then the points
+    lifted with 1; a point lifts once to a primitive integer q, at which a
+    facet f is tight when f . q = 0.  Rays go first because the pass then
+    tests fewer adjacent pairs; its sorted output does not depend on the
+    order.
     """
     if (points and n == 2 and len(rays) == 2
             and rays[0][0] * rays[1][1] != rays[0][1] * rays[1][0]):
         return _planar_hull(points, rays)
     lifted = [primitive(tuple(p) + (1,)) for p in points]
-    normals = extreme_rays(lifted + [tuple(r) + (0,) for r in rays], n + 1)
+    normals = extreme_rays([tuple(r) + (0,) for r in rays] + lifted, n + 1)
     # A zero spatial normal is the lifted cone's facet t >= 0, not a facet
     # of the polyhedron; drop it.
     facets = [f for f in normals if any(f[:n])]
@@ -134,10 +137,7 @@ def _planar_hull(points, rays):
     for key, v in sorted({(dot(u2, p), dot(u1, p)): tuple(p) for p in points}.items()):
         if chain and key[1] >= chain[-1][0][1]:
             continue
-        while len(chain) > 1:
-            (x0, y0), (x1, y1) = chain[-2][0], chain[-1][0]
-            if (x1 - x0) * (key[1] - y0) - (y1 - y0) * (key[0] - x0) > 0:
-                break
+        while len(chain) > 1 and _turn(chain[-2][0], chain[-1][0], key) <= 0:
             chain.pop()
         chain.append((key, v))
     vs = [v for _, v in chain]
@@ -150,6 +150,37 @@ def _planar_hull(points, rays):
     facets = [primitive(u + (-dot(u, v),)) for u, v in zip(normals, vs[:1] + vs)]
     halfspaces = tuple(sorted((f[:2], Fraction(-f[2])) for f in facets))
     return halfspaces, tuple(p for p in points if tuple(p) in kept)
+
+
+def _turn(a, b, c):
+    """Twice the signed area of the triangle a, b, c: positive when the turn
+    a -> b -> c is counter-clockwise."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def hull_volume(points) -> Fraction:
+    """Exact volume of conv(points) for points in R^d, zero when it is flat.
+
+    A segment is max - min.  A polygon takes Andrew's monotone chain, lower
+    half left to right and upper half back, and the shoelace formula over
+    both halves, with no double-description pass.  From d = 3 on the hull
+    comes from `hull_vertices`; `polytope_volume` counts a flat one as 0.
+    """
+    pts = sorted(set(points))
+    d = len(pts[0])
+    if d == 1:
+        return Fraction(pts[-1][0] - pts[0][0])
+    if d > 2:
+        return polytope_volume(hull_vertices(pts), degenerate_ok=True)
+    twice = 0
+    for half in (pts, pts[::-1]):
+        chain = []
+        for p in half:
+            while len(chain) > 1 and _turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        twice += sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(chain, chain[1:]))
+    return Fraction(twice) / 2
 
 
 def _hull_full_dim(pts, n):

@@ -7,6 +7,11 @@ the body is the union of the pyramids from the origin over the bounded
 facets of the region (its Newton diagram), so the covolume is a sum of
 simplex determinants over a triangulation of the diagram.
 
+A mixed covolume needs one Minkowski sum, K = R2 + ... + Rn, and none in
+the plane: CV(R1, ..., Rn) is (1/n) times the sum of h1(u) V(R2^u, ...,
+Rn^u) over the unit inner normals u of the bounded facets of K, the facet
+formula for mixed volumes (`mixed_covol`).
+
 `newton_region` builds each region once per canonical input: repeated
 calls, such as the Minkowski sums that several mixed covolumes share,
 return the same frozen object, which also makes the `covol` cache hit.
@@ -24,7 +29,7 @@ from fractions import Fraction
 from .cones import RationalCone, is_positive_on_cone
 from .errors import ConeMismatch, NonpositiveScalar, NotCobounded, WrongArity
 from .linalg import det, dot, exact_vector, primitive
-from .polytopes import homogenized_hull, hull_vertices, pull_simplices
+from .polytopes import homogenized_hull, hull_vertices, hull_volume, pull_simplices
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,7 @@ def _facet_incidences(region: NewtonRegion):
     tight = [frozenset(i for i, g in enumerate(region.generators) if dot(u, g) == c)
              for u, c in region.facets]
     bounded = [face for (u, _), face in zip(region.facets, tight)
-               if all(dot(u, r) > 0 for r in region.cone.rays)]
+               if is_positive_on_cone(u, region.cone)]
     return tight, bounded
 
 
@@ -165,7 +170,20 @@ def newton_diagram(region: NewtonRegion):
 
 
 def mixed_covol(regions) -> Fraction:
-    """Mixed covolume by inclusion-exclusion over subset Minkowski sums.
+    """Mixed covolume CV(R1, ..., Rn) by the facet formula.
+
+    With K = R2 + ... + Rn (R2 itself for n = 2),
+
+        CV = (1/n) sum over the bounded facets u of K of h1(u) V(R2^u, ..., Rn^u) / |u|,
+
+    where h1(u) is the least u.g over the generators of R1 and Ri^u is the
+    face of Ri on which u is least (Schneider, Convex Bodies, 5.1; the
+    formula holds for coconvex bodies, Khovanskii-Timorin 2014).  V is the
+    (n-1)-dimensional mixed volume: inclusion-exclusion over the sums of
+    the faces, each face projected by dropping a coordinate k with
+    u_k != 0, which scales volume by |u_k| / |u|.  The cone's own facets
+    add nothing: every ray carries a generator of R1, so h1 vanishes on
+    each of them, and a cobounded region has no other unbounded facet.
 
     Symmetric, multilinear, and equal to the covolume on the diagonal.
     """
@@ -177,15 +195,21 @@ def mixed_covol(regions) -> Fraction:
         raise WrongArity(f"need exactly {n} regions, got {len(regions)}")
     for r in regions[1:]:
         _check_compatible(regions[0], r)
-    sums = {}
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            if size == 1:
-                sums[subset] = regions[subset[0]]
-            else:
-                sums[subset] = minkowski_sum(sums[subset[:-1]], regions[subset[-1]])
+    if n == 1:
+        return covol(regions[0])
+    first, rest = regions[0], regions[1:]
     total = Fraction(0)
-    for subset, reg in sums.items():
-        sign = -1 if (n - len(subset)) % 2 else 1
-        total += sign * covol(reg)
+    for u, _ in functools.reduce(minkowski_sum, rest).facets:
+        if not is_positive_on_cone(u, first.cone):
+            continue
+        k = next(i for i, x in enumerate(u) if x)
+        faces = []
+        for region in rest:
+            low = min(dot(u, g) for g in region.generators)
+            faces.append([g[:k] + g[k + 1:] for g in region.generators if dot(u, g) == low])
+        mixed = sum((-1) ** (n - 1 - size)
+                    * hull_volume({tuple(map(sum, zip(*points)))
+                                   for points in itertools.product(*subset)})
+                    for size in range(1, n) for subset in itertools.combinations(faces, size))
+        total += min(dot(u, g) for g in first.generators) * mixed / abs(u[k])
     return total / math.factorial(n)

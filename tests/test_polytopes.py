@@ -14,7 +14,7 @@ from coconvex.cones import dual_description, extreme_rays, orthant
 from coconvex.linalg import (det, dot, nullspace, primitive,
                              rank, vec_sub)
 from coconvex.polytopes import (RationalPolytope, _hull_full_dim,
-                                homogenized_hull, hull_vertices,
+                                homogenized_hull, hull_vertices, hull_volume,
                                 polytope_volume, pull_simplices, triangulate)
 from coconvex.regions import newton_region
 from lp import nonnegative_combination
@@ -420,7 +420,9 @@ def test_projection_matches_affine_chart():
     agree with the affine-chart reference: vertices, affine dimension,
     full-dimensional facets, membership on and off the affine hull, volume,
     and the measure of the triangulation.  Degenerate halfspace tuples and
-    the simplices themselves are not unique, so they are not compared."""
+    the simplices themselves are not unique, so they are not compared.
+    In dimensions 1 and 2, where it takes its own path, `hull_volume` of
+    the points is that volume too, and 0 when the points are flat."""
     rng = random.Random(29)
     degenerate = 0
     for case in range(1500):
@@ -454,6 +456,8 @@ def test_projection_matches_affine_chart():
                 [vec_sub(v, poly.vertices[0]) for v in poly.vertices]))
             assert _measure(triangulate(poly), cols) == \
                 _measure(ref_simplices, cols), pts
+        if n <= 2:
+            assert hull_volume(pts) == polytope_volume(poly, degenerate_ok=True), pts
     assert degenerate >= 500, degenerate
 
 

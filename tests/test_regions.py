@@ -1,11 +1,13 @@
 """Newton regions, covolume, Minkowski algebra, mixed covolume."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from coconvex import regions as regions_module
 from coconvex.cones import dual_description, orthant
 from coconvex.errors import (ConeMismatch, NonpositiveScalar, NotCobounded,
                              WrongArity)
@@ -16,10 +18,12 @@ from coconvex.localalg import monomial_ideal
 from coconvex.polytopes import (hull_vertices, polytope_volume,
                                 triangulate_points)
 from coconvex.radicals import compare_root_sum
+from coconvex.randgen import InstanceSpec
 from coconvex.regions import (_newton_region, coconvex_body, cone_region,
                               covol, minkowski_sum, mixed_covol,
                               newton_diagram, newton_region, scale)
 from coconvex.semigroups import lattice_semigroup, semigroup_ideal
+from coconvex.suites import suite_af_covol
 
 from test_polytopes import shoelace, vertices_from_halfspaces
 
@@ -29,8 +33,10 @@ ELL2 = (1, 1)
 ELL3 = (1, 1, 1)
 SKEW = dual_description([(1, 0), (1, 2)])
 WIDE = dual_description([(-1, 2), (2, -1)])
+OBTUSE = dual_description([(2, -1), (-1, 3)])
 FOUR_RAY = dual_description([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
 SKEW3 = dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 3)])
+TILTED3 = dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
 FIVE_RAY = dual_description([(0, 0, 1), (2, 0, 1), (3, 2, 1), (1, 3, 1), (0, 2, 1)])
 SKEW4 = dual_description([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 2, 3)])
 PYRAMID4 = dual_description([(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 1),
@@ -299,6 +305,70 @@ def test_mixed_covol_arity_and_mismatch():
     r3 = newton_region(O3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ELL3)
     with pytest.raises(ConeMismatch):
         mixed_covol([r1, r3])
+
+
+def inclusion_exclusion_mixed_covol(regions):
+    """Reference mixed covolume: (1/n!) times the sum over the nonempty
+    subsets S of the regions of (-1)^(n - |S|) covol(sum of S), each
+    subset's Minkowski sum built from its prefix's."""
+    n = len(regions)
+    sums = {}
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if size == 1:
+                sums[subset] = regions[subset[0]]
+            else:
+                sums[subset] = minkowski_sum(sums[subset[:-1]], regions[subset[-1]])
+    total = sum((-1) ** (n - len(subset)) * covol(reg) for subset, reg in sums.items())
+    return Fraction(total) / math.factorial(n)
+
+
+def test_mixed_covol_matches_inclusion_exclusion():
+    """The facet formula agrees with inclusion-exclusion over the subset
+    Minkowski sums: on the orthant, acute, obtuse and skew cones in
+    dimensions 2 and 3 and a non-simplicial cone, with half-integral
+    generators, rational scalings and a repeated region, and on the 4-D
+    orthant."""
+    rng = random.Random(53)
+    cones = [O2, SKEW, WIDE, OBTUSE, O3, SKEW3, TILTED3, FOUR_RAY]
+    cases = []
+    for case in range(280):
+        cone = cones[case % len(cones)]
+        regs = [random_cone_region(rng, cone, (1,) * cone.dim, bound=3,
+                                   extra=rng.randint(0, 3), den=rng.choice([1, 2]))
+                for _ in range(cone.dim)]
+        if case % 4 == 1:
+            regs[1] = regs[0]
+        if case % 3 == 2:
+            i = rng.randrange(cone.dim)
+            regs[i] = scale(regs[i], Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+        cases.append(regs)
+    cases += [[random_region(rng, 4, 3, 2) for _ in range(4)] for _ in range(5)]
+    for regs in cases:
+        assert mixed_covol(regs) == inclusion_exclusion_mixed_covol(regs), regs
+
+
+def test_mixed_covol_makes_n_minus_2_sums(monkeypatch):
+    """One mixed covolume of n regions builds n - 2 Minkowski sums, none in
+    the plane.  A 3-D af-covol instance takes three mixed covolumes, one
+    sum each, of which two are distinct: CV(G1, G2, G3) reuses G2 + G3."""
+    rng = random.Random(59)
+    regs = {n: [random_region(rng, n, 3, 2) for _ in range(n)] for n in (2, 3, 4)}
+    real = regions_module.minkowski_sum
+    calls = []
+
+    def counting(r1, r2):
+        calls.append(real(r1, r2))
+        return calls[-1]
+
+    monkeypatch.setattr(regions_module, "minkowski_sum", counting)
+    for n in (2, 3, 4):
+        calls.clear()
+        mixed_covol(regs[n])
+        assert len(calls) == n - 2, n
+    calls.clear()
+    assert suite_af_covol(InstanceSpec(dimension=3, seed=1), 1).passed
+    assert len(calls) == 3 and len(set(calls)) == 2, calls
 
 
 def test_mixed_covol_symmetry_multilinearity_diagonal():
