@@ -14,26 +14,21 @@ from .errors import (CoconvexError, ConeMismatch, DegeneratePolytope,
                      NotFullDimensional, NotPrimary, NotPrimaryWithinCap,
                      NotStronglyConvex, SingularSystem, WrongArity,
                      ZeroPolynomial)
-from .localalg import (BernsteinKushnirenkoReport, GoodValuationCertificate,
-                       LechChain, MonomialIdealLocal, MultiplicityReport,
-                       Poly, PolyLocalIdeal, TermOrder,
-                       bk_report, colength, good_valuation_certificate,
+from .localalg import (BernsteinKushnirenkoReport, LechChain,
+                       MonomialIdealLocal, MultiplicityReport, Poly,
+                       PolyLocalIdeal, TermOrder, bk_report, colength,
                        hilbert_samuel, initial_semigroup_ideal, lech_chain,
                        mixed_multiplicity, monomial, monomial_ideal,
                        mprimary_exponent, multiplicity, multiplicity_report,
                        poly_local_ideal, product_ideal, standard_order,
                        term_order, truncated_echelon, valuation)
 from .polytopes import RationalPolytope, hull_vertices, polytope_volume
-from .regions import (CoconvexBody, NewtonRegion, coconvex_body, cone_region,
-                      covol, minkowski_sum, mixed_covol, newton_diagram,
-                      newton_region, scale)
+from .regions import (NewtonRegion, cone_region, covol, minkowski_sum,
+                      mixed_covol, newton_diagram, newton_region, scale)
 from .semigroups import (LatticeSemigroup, PrimaryGradedSequence,
-                         SemigroupIdealSet, complement_count, complement_points,
-                         explicit_sequence, gamma_region, hilbert_basis,
-                         hilbert_samuel_sequence, ideal_power,
-                         lattice_semigroup, mixed_multiplicity_semigroup,
-                         power_sequence, primary_certificate,
-                         product_sequence, semigroup_ideal, sequence_t0,
+                         SemigroupIdealSet, complement_count, gamma_region,
+                         hilbert_basis, ideal_power, lattice_semigroup,
+                         power_sequence, product_sequence, semigroup_ideal,
                          staircase_region, sum_ideals)
 from .randgen import InstanceSpec, XorShift64Star, random_monomial_ideal
 from .suites import (SUITES, VerificationReport, suite_af_covol,

@@ -1,15 +1,17 @@
-"""JSON interchange: rationals as "p/q" strings, schemas for every object.
+"""JSON input and output: rationals as "p/q" strings.
 
-Schemas (all exact; integers may appear as JSON numbers):
+Inputs (all exact; integers may appear as JSON numbers):
 
-  region          {"cone_rays": [[int]], "generators": [[rat]], "ell": [rat]}
-  semigroup ideal {"cone_rays": [[int]], "min_generators": [[int]],
-                   "ell": [rat] (optional)}
-  monomial ideal  {"dim": n, "generators": [[int]],
+  region          {"cone_rays": [[int]] (optional), "generators": [[rat]],
+                   "ell": [rat]}
+  monomial ideal  {"dim": n (optional), "generators": [[int]],
                    "cone_rays": [[int]] (optional)}
   polynomial      {"terms": [{"coeff": "p/q", "exp": [int]}]}
   poly ideal      {"dim": n, "generators": [polynomial],
                    "order": {"ell": [int], "tiebreak": [[int]]} (optional)}
+
+Outputs: a region in the input schema, and a staircase as
+{"cone_rays": [[int]], "min_generators": [[int]], "ell": [rat]}.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import InputFormatError
 from .localalg import (MonomialIdealLocal, Poly, PolyLocalIdeal, monomial_ideal,
                        poly_local_ideal, term_order)
 from .regions import NewtonRegion, newton_region
-from .semigroups import (SemigroupIdealSet, lattice_semigroup, semigroup_ideal)
+from .semigroups import SemigroupIdealSet
 
 
 def frac_str(x) -> str:
@@ -107,26 +109,6 @@ def semigroup_ideal_to_json(ideal: SemigroupIdealSet) -> dict:
     }
 
 
-def semigroup_ideal_from_json(data: dict) -> SemigroupIdealSet:
-    if not isinstance(data, dict) or "min_generators" not in data:
-        raise InputFormatError("semigroup ideal needs min_generators")
-    gens = _parse_matrix(data["min_generators"], "min_generators", integral=True)
-    cone = _cone_from(data, dim_hint=len(gens[0]))
-    ell = data.get("ell")
-    sg = lattice_semigroup(cone, _parse_vector(ell, "ell") if ell else None)
-    return semigroup_ideal(sg, gens)
-
-
-def monomial_ideal_to_json(ideal: MonomialIdealLocal) -> dict:
-    out = {
-        "dim": ideal.n,
-        "generators": [list(g) for g in ideal.staircase.min_generators],
-    }
-    if ideal.cone != orthant(ideal.n):
-        out["cone_rays"] = [list(r) for r in ideal.cone.rays]
-    return out
-
-
 def monomial_ideal_from_json(data: dict) -> MonomialIdealLocal:
     if not isinstance(data, dict) or "generators" not in data:
         raise InputFormatError("monomial ideal needs generators")
@@ -137,10 +119,6 @@ def monomial_ideal_from_json(data: dict) -> MonomialIdealLocal:
             raise InputFormatError(f"generators must have dim = {n} entries")
     cone = _cone_from(data, dim_hint=len(gens[0]))
     return monomial_ideal(gens, cone=cone)
-
-
-def poly_to_json(p: Poly) -> dict:
-    return {"terms": [{"coeff": frac_str(c), "exp": list(e)} for e, c in p.terms]}
 
 
 def poly_from_json(data: dict, n: int) -> Poly:
@@ -158,15 +136,6 @@ def poly_from_json(data: dict, n: int) -> Poly:
     if poly.is_zero:
         raise InputFormatError("zero polynomial generator")
     return poly
-
-
-def poly_ideal_to_json(ideal: PolyLocalIdeal) -> dict:
-    return {
-        "dim": ideal.n,
-        "order": {"ell": list(ideal.order.ell),
-                  "tiebreak": [list(t) for t in ideal.order.tiebreak]},
-        "generators": [poly_to_json(g) for g in ideal.generators],
-    }
 
 
 def poly_ideal_from_json(data: dict) -> PolyLocalIdeal:

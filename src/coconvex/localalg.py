@@ -158,21 +158,6 @@ def valuation(f: Poly, order: TermOrder):
     return min((e for e, _ in f.terms), key=order.key)
 
 
-@dataclass(frozen=True)
-class GoodValuationCertificate:
-    """Constants making the lowest-term valuation good: level(v(f)) >= k*r0
-    forces f into the k-th power of the maximal ideal."""
-
-    ell: tuple
-    r0: Fraction
-
-
-def good_valuation_certificate(order: TermOrder) -> GoodValuationCertificate:
-    # Every exponent of f sits at level >= level(v(f)); level >= k*max(ell)
-    # forces total degree >= k on each term.
-    return GoodValuationCertificate(ell=order.ell, r0=Fraction(max(order.ell)))
-
-
 # ---------------------------------------------------------------------------
 # Truncated echelon
 # ---------------------------------------------------------------------------

@@ -56,12 +56,6 @@ class NewtonRegion:
         return all(dot(u, point) >= c for u, c in self.facets)
 
 
-@dataclass(frozen=True)
-class CoconvexBody:
-    region: NewtonRegion
-    covolume: Fraction
-
-
 def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     """Build conv(generators) + cone and certify coboundedness.
 
@@ -122,10 +116,6 @@ def covol(region: NewtonRegion) -> Fraction:
     total = sum(abs(det([region.generators[i] for i in simplex])) for face in bounded
                 for simplex in pull_simplices(face, region.dim - 1, tight))
     return Fraction(total) / math.factorial(region.dim)
-
-
-def coconvex_body(region: NewtonRegion) -> CoconvexBody:
-    return CoconvexBody(region=region, covolume=covol(region))
 
 
 def _check_compatible(r1: NewtonRegion, r2: NewtonRegion):

@@ -13,9 +13,8 @@ parallelepiped each.  On a simplicial cone the ideal above b is an
 orthant staircase in ray coordinates, counted in closed form in the plane
 and by slices grown along the last coordinate above it, with no prune.  On
 any cone a complement point sits below the least generator multiple of
-each ray in some piece, so the complement and its top level are read off
-those coset boxes.  The same coset points are the Hilbert basis
-candidates.
+each ray in some piece, so the complement is read off those coset boxes.
+The same coset points are the Hilbert basis candidates.
 """
 
 from __future__ import annotations
@@ -23,17 +22,15 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, is_positive_on_cone
-from .errors import (ConeMismatch, InvariantViolation, NotCobounded, NotPrimary,
-                     WrongArity)
+from .errors import ConeMismatch, InvariantViolation, NotCobounded, NotPrimary
 from .linalg import dot, integer_dual_basis, primitive, vec_sub
 from .polytopes import triangulate_points
-from .regions import NewtonRegion, covol, minkowski_sum, mixed_covol, newton_region
+from .regions import NewtonRegion, covol, minkowski_sum, newton_region
 
 NEVER_DOMINATED = ("staircase complement is infinite: "
                    "some ray of the cone is never dominated")
@@ -72,10 +69,6 @@ class SemigroupIdealSet:
     def contains(self, x) -> bool:
         cone = self.semigroup.cone
         return any(cone.contains(vec_sub(x, g)) for g in self.min_generators)
-
-    @property
-    def is_whole_semigroup(self) -> bool:
-        return self.min_generators == (tuple(0 for _ in range(self.semigroup.dim)),)
 
 
 def _prune_to_antichain(cone: RationalCone, points) -> tuple:
@@ -135,6 +128,10 @@ def _minima(order, width: int) -> tuple:
 def semigroup_ideal(semigroup: LatticeSemigroup, generators) -> SemigroupIdealSet:
     gens = []
     for given in map(tuple, generators):
+        if len(given) != semigroup.dim:
+            raise ValueError(f"generator dimension mismatch: {given} has "
+                             f"{len(given)} entries, the semigroup has "
+                             f"dimension {semigroup.dim}")
         g = tuple(int(x) for x in given)
         if g != given:
             raise ValueError(f"generator {given} has a non-integer coordinate")
@@ -254,13 +251,6 @@ def iter_points_at_level(semigroup: LatticeSemigroup, level: int):
             yield p
 
 
-def level_height(semigroup: LatticeSemigroup) -> int:
-    """Max level h of a Hilbert basis element: peeling one off lowers a
-    level by at most h, which bounds the generating window of
-    `primary_certificate` and the product term of `sequence_t0`."""
-    return max(dot(semigroup.ell, h) for h in hilbert_basis(semigroup.cone))
-
-
 def staircase_region(ideal: SemigroupIdealSet) -> NewtonRegion:
     """Newton region conv(min_generators) + cone of the staircase.
 
@@ -274,9 +264,8 @@ def staircase_region(ideal: SemigroupIdealSet) -> NewtonRegion:
         raise NotPrimary(NEVER_DOMINATED) from exc
 
 
-def _coset_complement(ideal: SemigroupIdealSet):
-    """S \\ I, sorted, and t1 = 1 + its top level (0 when empty), the least
-    level with S & {l >= t1} inside I.
+def _coset_complement(ideal: SemigroupIdealSet) -> tuple:
+    """The finite set S \\ I, sorted; raises NotPrimary when it is infinite.
 
     A multiple of an extreme ray r lies in I only above a generator on r;
     let c_r be the least such multiple, and raise NotPrimary when a ray has
@@ -302,14 +291,8 @@ def _coset_complement(ideal: SemigroupIdealSet):
                 p = tuple(x + dot(mu, column) for x, column in zip(b, zip(*rays)))
                 values[p] = [dot(f, p) for f in cone.facets]
     gen_values = [[dot(f, g) for f in cone.facets] for g in ideal.min_generators]
-    points = tuple(sorted(p for p, v in values.items() if not any(
+    return tuple(sorted(p for p, v in values.items() if not any(
         all(map(operator.ge, v, w)) for w in gen_values)))
-    return points, 1 + max((dot(sg.ell, p) for p in points), default=-1)
-
-
-def complement_points(ideal: SemigroupIdealSet) -> tuple:
-    """The finite set S \\ I, sorted; raises NotPrimary when infinite."""
-    return _coset_complement(ideal)[0]
 
 
 def _orthant_colength(gens, n: int) -> int:
@@ -378,7 +361,7 @@ def complement_count(ideal: SemigroupIdealSet) -> int:
     if _is_standard_orthant(sg.cone):
         return _orthant_colength(ideal.min_generators, n)
     if len(sg.cone.rays) != n:
-        return len(_coset_complement(ideal)[0])
+        return len(_coset_complement(ideal))
     d, adj, cosets = _cosets(sg.cone.rays)
     coords = [tuple(dot(a, g) for a in adj) for g in ideal.min_generators]
     total = 0
@@ -397,43 +380,21 @@ def complement_count(ideal: SemigroupIdealSet) -> int:
 class PrimaryGradedSequence:
     """Graded sequence I_k with I_k + I_m inside I_{k+m}.
 
-    kind "powers": I_k = k * base; "product": I_k = I'_k + I''_k;
-    "explicit": a finite materialized prefix (inner data only).
+    kind "powers": I_k = k * base; "product": I_k = I'_k + I''_k.
     """
 
     semigroup: LatticeSemigroup
     kind: str
     base: SemigroupIdealSet | None = None
     factors: tuple | None = None
-    prefix: tuple | None = None
 
     def term(self, k: int) -> SemigroupIdealSet:
         if k < 1:
             raise ValueError("index must be >= 1")
         if self.kind == "powers":
             return ideal_power(self.base, k)
-        if self.kind == "product":
-            a, b = self.factors
-            return sum_ideals(a.term(k), b.term(k))
-        if k > len(self.prefix):
-            raise ValueError(f"term {k} is not materialized")
-        return self.prefix[k - 1]
-
-    @property
-    def prefix_length(self):
-        """Length of the shortest explicit prefix in the sequence (the
-        sequence itself or a factor), math.inf if there is none."""
-        if self.kind == "powers":
-            return math.inf
-        if self.kind == "product":
-            return min(f.prefix_length for f in self.factors)
-        return len(self.prefix)
-
-    @property
-    def exact_region(self) -> bool:
-        """Without an explicit prefix the region is exact, with one only an
-        inner approximation."""
-        return self.prefix_length == math.inf
+        a, b = self.factors
+        return sum_ideals(a.term(k), b.term(k))
 
 
 def power_sequence(ideal: SemigroupIdealSet) -> PrimaryGradedSequence:
@@ -449,118 +410,15 @@ def product_sequence(a: PrimaryGradedSequence,
                                  factors=(a, b))
 
 
-def explicit_sequence(ideals) -> PrimaryGradedSequence:
-    ideals = tuple(ideals)
-    if not ideals:
-        raise ValueError("need at least one term")
-    sg = ideals[0].semigroup
-    for ik in ideals:
-        if ik.semigroup != sg:
-            raise ConeMismatch("terms over different semigroups")
-    for k in range(1, len(ideals) + 1):
-        for m in range(1, len(ideals) - k + 1):
-            summed = sum_ideals(ideals[k - 1], ideals[m - 1])
-            target = ideals[k + m - 1]
-            if not all(target.contains(g) for g in summed.min_generators):
-                raise ValueError(f"gradedness fails: I_{k} + I_{m} is not "
-                                 f"inside I_{k + m}")
-    return PrimaryGradedSequence(semigroup=sg, kind="explicit", prefix=ideals)
-
-
-def primary_certificate(ideal: SemigroupIdealSet) -> Fraction:
-    """Constructive t0 for the power sequence of the ideal.
-
-    Reads t1, the least level with S & {l >= t1} inside I, off the coset
-    complement, takes every semigroup point in the window
-    [t1, 2 t1 + h - 1] as a generating set of M1 = S & {l >= t1}, where h is
-    `level_height` (peeling shows the window generates), and returns one
-    more than the largest generator level: the level walk goes down from
-    the top of the window to the first level holding a point.
-    """
-    if ideal.is_whole_semigroup:
-        return Fraction(1)
-    _, t1 = _coset_complement(ideal)
-    sg = ideal.semigroup
-    top = 2 * t1 + level_height(sg) - 1
-    best = next((level for level in range(top, t1 - 1, -1)
-                 if any(True for _ in iter_points_at_level(sg, level))), 0)
-    return Fraction(best + 1)
-
-
-def sequence_t0(seq: PrimaryGradedSequence) -> Fraction:
-    """Certified t0 with I_k & {l >= k t0} = S & {l >= k t0} for all k."""
-    if seq.kind == "powers":
-        return primary_certificate(seq.base)
-    if seq.kind == "product":
-        a, b = seq.factors
-        return sequence_t0(a) + sequence_t0(b) + level_height(seq.semigroup)
-    t0 = Fraction(1)
-    for k in range(1, len(seq.prefix) + 1):
-        _, t1 = _coset_complement(seq.prefix[k - 1])
-        t0 = max(t0, Fraction(t1, k))
-    return t0
-
-
-def hilbert_samuel_sequence(seq: PrimaryGradedSequence, kmax: int):
-    """H(k) = #(S \\ I_k) for k = 1..kmax."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    return [complement_count(seq.term(k)) for k in range(1, kmax + 1)]
-
-
 def gamma_region(seq: PrimaryGradedSequence) -> NewtonRegion:
-    """Region of the sequence: conv of scaled terms plus the cone.
-
-    Exact for power sequences (conv of the staircase) and products
-    (Minkowski sum of the factors) of them; an inner approximation once an
-    explicit prefix is involved (see `exact_region` for the flag).
-    """
+    """Region of the sequence: the staircase region of a power sequence's
+    base, the Minkowski sum of the factors' regions for a product."""
     if seq.kind == "powers":
         return staircase_region(seq.base)
-    if seq.kind == "product":
-        a, b = seq.factors
-        return minkowski_sum(gamma_region(a), gamma_region(b))
-    sg = seq.semigroup
-    pts = set()
-    for k in range(1, len(seq.prefix) + 1):
-        for g in seq.term(k).min_generators:
-            pts.add(tuple(Fraction(x, k) for x in g))
-    return newton_region(sg.cone, pts, sg.ell)
+    a, b = seq.factors
+    return minkowski_sum(gamma_region(a), gamma_region(b))
 
 
 def multiplicity(seq: PrimaryGradedSequence) -> Fraction:
-    """e(I_k) = lim H(k)/k^n, equal to the covolume of the region.
-
-    Only exact regions are accepted; use multiplicity_estimate when the
-    sequence holds an explicit prefix.
-    """
-    if not seq.exact_region:
-        raise ValueError("explicit prefixes only bound the multiplicity; "
-                         "use multiplicity_estimate")
+    """e(I_k) = lim H(k)/k^n, equal to the covolume of the region."""
     return covol(gamma_region(seq))
-
-
-def multiplicity_estimate(seq: PrimaryGradedSequence):
-    """(inner covolume, H(kmax)/kmax^n trend) bracket for a sequence that
-    holds an explicit prefix; kmax is the shortest such prefix."""
-    if seq.exact_region:
-        raise ValueError("powers and products of them have an exact "
-                         "multiplicity; use multiplicity")
-    kmax = seq.prefix_length
-    n = seq.semigroup.dim
-    trend = Fraction(complement_count(seq.term(kmax)), kmax ** n)
-    return covol(gamma_region(seq)), trend
-
-
-def mixed_multiplicity_semigroup(seqs) -> Fraction:
-    """n! times the mixed covolume of the sequences' regions."""
-    seqs = list(seqs)
-    if not seqs:
-        raise WrongArity("need n sequences")
-    n = seqs[0].semigroup.dim
-    if len(seqs) != n:
-        raise WrongArity(f"need exactly {n} sequences, got {len(seqs)}")
-    for s in seqs[1:]:
-        if s.semigroup != seqs[0].semigroup:
-            raise ConeMismatch("sequences over different semigroups")
-    return math.factorial(n) * mixed_covol([gamma_region(s) for s in seqs])

@@ -332,6 +332,28 @@ def test_monomial_dim_checked(tmp_path, capsys, payload):
     assert "dim" in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"generators": [[2, 0, 0], [0, 3, 0], [0, 0, 4], [1, 1]]},
+     "(1, 1) has 2 entries, the semigroup has dimension 3"),
+    ({"generators": [[2, 0], [0, 3], [1, 1, 5]]},
+     "(1, 1, 5) has 3 entries, the semigroup has dimension 2"),
+    ({"generators": [[2, 0], [0, 3]], "cone_rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "(2, 0) has 2 entries, the semigroup has dimension 3"),
+], ids=["short", "long", "cone"])
+@pytest.mark.parametrize("command", ["multiplicity", "hilbert-samuel", "newton",
+                                     "lech", "mixed"])
+def test_ragged_generators_exit_2(tmp_path, capsys, command, payload, message):
+    """A generator whose length is not the semigroup's dimension is named,
+    not truncated by a dot product into an unpacking error."""
+    if command == "mixed":
+        payload = {"ideals": [payload, payload]}
+    path = write(tmp_path, "ragged.json", payload)
+    code, out, err = run(capsys, [command, "--input", path])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: generator dimension mismatch: {message}\n"
+
+
 def test_cli_runs_as_a_process(tmp_path):
     """One real process per exit path: `python -m coconvex.cli`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

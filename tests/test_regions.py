@@ -19,9 +19,8 @@ from coconvex.polytopes import (hull_vertices, polytope_volume,
                                 triangulate_points)
 from coconvex.radicals import compare_root_sum
 from coconvex.randgen import InstanceSpec
-from coconvex.regions import (_newton_region, coconvex_body, cone_region,
-                              covol, minkowski_sum, mixed_covol,
-                              newton_diagram, newton_region, scale)
+from coconvex.regions import (_newton_region, cone_region, covol, minkowski_sum,
+                              mixed_covol, newton_diagram, newton_region, scale)
 from coconvex.semigroups import lattice_semigroup, semigroup_ideal
 from coconvex.suites import suite_af_covol
 
@@ -433,12 +432,6 @@ def test_bm_inequality_random_and_equality_witness():
         assert compare_root_sum(covol(a), covol(b), covol(s), 2) == 0
 
 
-def test_coconvex_body_cache_consistent():
-    region = region2([(3, 0), (1, 1), (0, 2)])
-    body = coconvex_body(region)
-    assert body.covolume == covol(region) == Fraction(5, 2)
-
-
 def test_generators_inside_cone_required():
     with pytest.raises(ValueError):
         newton_region(O2, [(-1, 0)], ELL2)
@@ -450,6 +443,10 @@ def test_generators_inside_cone_required():
             semigroup_ideal(lattice_semigroup(O2), [bad, (0, 1)])
         with pytest.raises(ValueError, match="non-integer"):
             monomial_ideal([bad, (0, 1)])
+    # a ragged generator is named, not cut short by a dot product
+    for bad in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="generator dimension mismatch"):
+            semigroup_ideal(lattice_semigroup(O2), [(1, 0), bad])
 
 
 def test_custom_cone_region():

@@ -1,6 +1,7 @@
 """Staircase ideals, Hilbert-Samuel counting, primary sequences."""
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -14,17 +15,12 @@ from coconvex.errors import (ConeMismatch, InvariantViolation, NotFullDimensiona
 from coconvex.fitting import stabilized_leading
 from coconvex.linalg import dot, integer_dual_basis, primitive, vec_sub
 from coconvex.polytopes import triangulate_points
-from coconvex.regions import covol, minkowski_sum
-from coconvex.semigroups import (complement_count, complement_points,
-                                 explicit_sequence, gamma_region, hilbert_basis,
-                                 hilbert_samuel_sequence, ideal_power,
-                                 iter_points_at_level, lattice_semigroup,
-                                 level_height, mixed_multiplicity_semigroup,
-                                 multiplicity, multiplicity_estimate,
-                                 power_sequence,
-                                 primary_certificate, product_sequence,
-                                 semigroup_ideal, sequence_t0, staircase_region,
-                                 sum_ideals, _coset_complement)
+from coconvex.regions import covol, minkowski_sum, mixed_covol
+from coconvex.semigroups import (complement_count, gamma_region, hilbert_basis,
+                                 ideal_power, iter_points_at_level,
+                                 lattice_semigroup, multiplicity, power_sequence,
+                                 product_sequence, semigroup_ideal,
+                                 staircase_region, sum_ideals, _coset_complement)
 from test_linalg import dual_basis
 
 S2 = lattice_semigroup(orthant(2))
@@ -138,15 +134,20 @@ def box_hilbert_basis(cone):
     return all_pairs_prune(cone, candidates)
 
 
+def mixed_multiplicity_of(seqs):
+    """n! times the mixed covolume of the sequences' regions."""
+    return math.factorial(len(seqs)) * mixed_covol([gamma_region(s) for s in seqs])
+
+
 def level_scan(ideal):
-    """Reference complement and t1: walk the integer levels upward, after
-    the staircase region certifies the complement finite, until
-    `level_height` consecutive levels hold no complement point; peeling
-    Hilbert basis elements shows every higher point then lies in the ideal.
-    Returns the points in level order and t1, the first clean level."""
+    """Reference complement: walk the integer levels upward, after the
+    staircase region certifies the complement finite, until h consecutive
+    levels hold no complement point, h the top level of a Hilbert basis
+    element; peeling those elements shows every higher point then lies in
+    the ideal.  Returns the points in level order."""
     region = staircase_region(ideal)
     sg = ideal.semigroup
-    h = level_height(sg)
+    h = max(dot(sg.ell, b) for b in hilbert_basis(sg.cone))
     cap = 1024 * (int(region.threshold) + h + 1)
     points = []
     level = clean = 0
@@ -157,7 +158,7 @@ def level_scan(ideal):
         level += 1
         if level > cap:
             raise NotPrimary("level scan exceeded the safety cap")
-    return tuple(points), level - h
+    return tuple(points)
 
 
 def test_ideal_power_examples():
@@ -351,10 +352,10 @@ def test_complement_count_examples():
     assert complement_count(ideal2([(1, 0), (0, 1)])) == 1
     ideal = ideal2([(3, 0), (1, 1), (0, 2)])
     assert complement_count(ideal) == 4
-    assert complement_points(ideal) == ((0, 0), (0, 1), (1, 0), (2, 0))
+    assert _coset_complement(ideal) == ((0, 0), (0, 1), (1, 0), (2, 0))
     doubled = ideal_power(ideal2([(1, 0), (0, 1)]), 2)
     assert complement_count(doubled) == 3
-    assert complement_points(doubled) == ((0, 0), (0, 1), (1, 0))
+    assert _coset_complement(doubled) == ((0, 0), (0, 1), (1, 0))
 
 
 def test_complement_paths_agree():
@@ -365,11 +366,11 @@ def test_complement_paths_agree():
         gens = [g for g in gens if any(g)]
         ideal = ideal2(gens)
         fast = complement_count(ideal)
-        scanned, t1 = level_scan(ideal)
+        scanned = level_scan(ideal)
         brute = brute_force_complement(ideal.min_generators)
         assert fast == len(scanned) == len(brute)
-        assert _coset_complement(ideal) == (tuple(sorted(scanned)), t1)
-        assert complement_points(ideal) == tuple(brute)
+        assert _coset_complement(ideal) == tuple(sorted(scanned))
+        assert _coset_complement(ideal) == tuple(brute)
 
 
 def test_points_at_level_match_box_filter():
@@ -408,7 +409,7 @@ def test_coset_count_matches_level_scan():
         for k in (1, 2):
             power = ideal_power(ideal, k)
             try:
-                scanned, t1 = level_scan(power)
+                scanned = level_scan(power)
             except NotPrimary:
                 raised += 1
                 with pytest.raises(NotPrimary, match="never dominated"):
@@ -417,7 +418,7 @@ def test_coset_count_matches_level_scan():
                     _coset_complement(power)
             else:
                 assert complement_count(power) == len(scanned), (cone.rays, gens, k)
-                assert _coset_complement(power) == (tuple(sorted(scanned)), t1)
+                assert _coset_complement(power) == tuple(sorted(scanned))
     assert 30 <= raised <= 80
 
 
@@ -447,26 +448,25 @@ def test_non_simplicial_count_matches_box_count():
             ideal = semigroup_ideal(sg, gens)
             outside = tuple(x for x in itertools.product(*box)
                             if cone.contains(x) and not ideal.contains(x))
-            assert complement_points(ideal) == outside
+            assert _coset_complement(ideal) == outside
             assert complement_count(ideal) == len(outside)
-            scanned, t1 = level_scan(ideal)
-            assert _coset_complement(ideal) == (tuple(sorted(scanned)), t1)
+            scanned = level_scan(ideal)
+            assert _coset_complement(ideal) == tuple(sorted(scanned))
 
 
 def test_thin_cone_complement_from_cosets(monkeypatch):
     """On the simplicial cone over (1,0,0), (0,1,0), (1,1,40) the complement
     of (3,0,0), (0,3,0), (3,3,120) is the full 40 * 27 coset box, listed
-    without walking a level; the certificate's window still walks levels."""
+    without walking a level."""
     sg = lattice_semigroup(dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 40)]))
     ideal = semigroup_ideal(sg, [(3, 0, 0), (0, 3, 0), (3, 3, 120)])
     with monkeypatch.context() as patch:
         def no_level_walk(*args, **kwargs):
             raise AssertionError("complement listed by a level walk")
         patch.setattr(semigroups, "iter_points_at_level", no_level_walk)
-        points = complement_points(ideal)
+        points = _coset_complement(ideal)
         assert len(points) == 1080
         assert max(dot(sg.ell, p) for p in points) == 319
-    assert primary_certificate(ideal) == 719
 
 
 def test_coset_enumeration_checks_the_index(monkeypatch):
@@ -490,58 +490,18 @@ def test_complement_infinite_raises():
     with pytest.raises(NotPrimary):
         complement_count(ideal2([(2, 1)]))
     with pytest.raises(NotPrimary):
-        complement_points(ideal2([(1, 1)]))
+        _coset_complement(ideal2([(1, 1)]))
 
 
 def test_hilbert_samuel_closed_forms():
     seq = power_sequence(ideal2([(1, 0), (0, 1)]))
-    hs = hilbert_samuel_sequence(seq, 8)
+    hs = [complement_count(seq.term(k)) for k in range(1, 9)]
     assert hs == [k * (k + 1) // 2 for k in range(1, 9)]
     assert hs[2] == 6
     seq3 = power_sequence(semigroup_ideal(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-    hs3 = hilbert_samuel_sequence(seq3, 5)
+    hs3 = [complement_count(seq3.term(k)) for k in range(1, 6)]
     assert hs3 == [(k + 2) * (k + 1) * k // 6 for k in range(1, 6)]
     assert hs3[1] == 4
-    assert hilbert_samuel_sequence(seq, 1)[0] == complement_count(seq.term(1))
-
-
-def test_primary_certificate_examples():
-    assert primary_certificate(ideal2([(1, 0), (0, 1)])) == 3
-    assert primary_certificate(ideal2([(0, 0)])) == 1
-    t0 = primary_certificate(ideal2([(2, 0), (0, 2)]))
-    assert t0 <= 8
-
-
-def test_primary_equation_over_window():
-    """I_k & {level >= k t0} = S & {level >= k t0} pointwise."""
-    rng = random.Random(13)
-    for _ in range(6):
-        gens = [(rng.randint(1, 3), 0), (0, rng.randint(1, 3)),
-                (rng.randint(0, 3), rng.randint(0, 3))]
-        gens = [g for g in gens if any(g)]
-        ideal = ideal2(gens)
-        t0 = primary_certificate(ideal)
-        for k in range(1, 9):
-            power = ideal_power(ideal, k)
-            start = int(k * t0)
-            for level in range(start, start + 4):
-                for x in iter_points_at_level(S2, level):
-                    assert power.contains(x), (gens, k, x)
-
-
-def test_sequence_t0_product_and_explicit():
-    a = power_sequence(ideal2([(1, 0), (0, 1)]))
-    b = power_sequence(ideal2([(2, 0), (0, 2)]))
-    prod = product_sequence(a, b)
-    t0 = sequence_t0(prod)
-    for k in (1, 2, 3):
-        term = prod.term(k)
-        start = int(k * t0)
-        for level in range(start, start + 3):
-            for x in iter_points_at_level(S2, level):
-                assert term.contains(x)
-    explicit = explicit_sequence([a.term(1), a.term(2), a.term(3)])
-    assert sequence_t0(explicit) >= 1
 
 
 def test_gamma_region_power_equals_staircase_hull():
@@ -588,45 +548,17 @@ def test_multiplicity_values():
     assert multiplicity(prod) == Fraction(9, 2)
 
 
-def test_multiplicity_explicit_estimate():
-    a = power_sequence(ideal2([(1, 0), (0, 1)]))
-    explicit = explicit_sequence([a.term(1), a.term(2)])
-    with pytest.raises(ValueError):
-        multiplicity(explicit)
-    inner, trend = multiplicity_estimate(explicit)
-    assert inner == Fraction(1, 2)
-    assert trend == Fraction(3, 4)
-    assert not explicit.exact_region
-    for exact in (a, product_sequence(a, a)):
-        with pytest.raises(ValueError, match="use multiplicity"):
-            multiplicity_estimate(exact)
-
-
-
-def test_product_with_explicit_factor_is_inner():
-    # A product is exact only when both factors are: the region of an
-    # explicit prefix is an inner approximation, so is its Minkowski sum.
-    m = ideal2([(1, 0), (0, 1)])
-    prod = product_sequence(explicit_sequence([m, ideal_power(m, 2)]),
-                            power_sequence(m))
-    assert not prod.exact_region
-    with pytest.raises(ValueError, match="use multiplicity_estimate"):
-        multiplicity(prod)
-    # the bracket is read at the shortest explicit prefix, k = 2: the term
-    # is m^4, with 10 standard monomials
-    assert multiplicity_estimate(prod) == (Fraction(2), Fraction(10, 4))
-
 def test_mixed_multiplicity_semigroup_examples():
     a = power_sequence(ideal2([(1, 0), (0, 1)]))
     b = power_sequence(ideal2([(2, 0), (0, 2)]))
-    assert mixed_multiplicity_semigroup([b, b]) == 2 * covol(gamma_region(b))
-    assert mixed_multiplicity_semigroup([a, b]) == 2
+    assert mixed_multiplicity_of([b, b]) == 2 * covol(gamma_region(b))
+    assert mixed_multiplicity_of([a, b]) == 2
     scaled = power_sequence(ideal_power(ideal2([(1, 0), (0, 1)]), 3))
-    assert mixed_multiplicity_semigroup([scaled, b]) == \
-        3 * mixed_multiplicity_semigroup([a, b])
+    assert mixed_multiplicity_of([scaled, b]) == \
+        3 * mixed_multiplicity_of([a, b])
     with pytest.raises(ConeMismatch):
         seq3 = power_sequence(semigroup_ideal(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-        mixed_multiplicity_semigroup([a, seq3])
+        mixed_multiplicity_of([a, seq3])
 
 
 def test_limit_theorem_small():
@@ -661,7 +593,7 @@ def test_polynomiality_worked_example():
     # is n! times the mixed multiplicity
     cross = e_scaled(1, 1) - e_scaled(1, 0) - e_scaled(0, 1)
     assert cross == 4
-    assert cross == 2 * mixed_multiplicity_semigroup(
+    assert cross == 2 * mixed_multiplicity_of(
         [power_sequence(a), power_sequence(b)])
     # homogeneity along an axis: P(k, 0) = k^n e(I1)
     for k in (2, 3):
@@ -679,9 +611,9 @@ def test_af_bm_for_semigroup_multiplicities():
         a = power_sequence(ideal2([g for g in gens_a if any(g)]))
         b = power_sequence(ideal2([g for g in gens_b if any(g)]))
         # Alexandrov-Fenchel: e(a,a) e(b,b) >= e(a,b)^2
-        assert mixed_multiplicity_semigroup([a, a]) * \
-            mixed_multiplicity_semigroup([b, b]) >= \
-            mixed_multiplicity_semigroup([a, b]) ** 2
+        assert mixed_multiplicity_of([a, a]) * \
+            mixed_multiplicity_of([b, b]) >= \
+            mixed_multiplicity_of([a, b]) ** 2
         # Brunn-Minkowski for the sum sequence
         s = product_sequence(a, b)
         assert compare_root_sum(multiplicity(a), multiplicity(b),
@@ -725,17 +657,9 @@ def test_hilbert_basis_matches_box_enumeration():
 def test_custom_cone_counting():
     skew = dual_description([(1, 0), (1, 2)])
     sg = lattice_semigroup(skew)
-    assert level_height(sg) == 1
     ideal = semigroup_ideal(sg, [(2, 0), (1, 1), (2, 4)])
-    assert complement_points(ideal) == ((0, 0), (1, 0), (1, 2))
+    assert _coset_complement(ideal) == ((0, 0), (1, 0), (1, 2))
     assert complement_count(ideal) == 3
-    t0 = primary_certificate(ideal)
-    for k in (1, 2, 3):
-        power = ideal_power(ideal, k)
-        start = int(k * t0)
-        for level in range(start, start + 3):
-            for x in iter_points_at_level(sg, level):
-                assert power.contains(x)
 
 
 def test_sum_ideals_requires_same_semigroup():
@@ -744,9 +668,3 @@ def test_sum_ideals_requires_same_semigroup():
         sum_ideals(ideal2([(1, 0), (0, 1)]),
                    semigroup_ideal(skew, [(1, 0)]))
 
-
-def test_explicit_sequence_rejects_ungraded():
-    a = ideal2([(1, 0), (0, 1)])
-    bad = [a, ideal2([(5, 0), (0, 5)])]  # I_1 + I_1 not inside I_2
-    with pytest.raises(ValueError):
-        explicit_sequence(bad)

@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import coconvex
+from coconvex import cli, suites
 
 
 def test_no_assert_in_package_source():
@@ -101,3 +102,72 @@ def test_every_definition_is_referenced():
         for path in sorted((repo / top).rglob("*.py")):
             referenced |= _identifiers(path)
     assert [where for name, where in defined if name not in referenced] == []
+
+
+# Definitions that no command or suite reaches, each kept for a reason.
+UNREACHED_BY_DESIGN = {
+    "hilbert_basis": "traced and cache-counted by bench/",
+    "iter_points_at_level": "traced by bench/",
+    "fit_polynomial": "traced by bench/",
+    "valuation": "imported by bench/test_bench.py",
+    "SingularSystem": "raised only by fit_polynomial",
+    "ZeroPolynomial": "raised only by valuation",
+    "cone_region": "imported by tests/test_acceptance.py",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _used_names(node):
+    """Bare and attribute names a definition uses.  A class's methods other
+    than dunders run only when named, so their bodies are left out."""
+    found, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack += [child for child in ast.iter_child_nodes(node)
+                  if not (isinstance(node, ast.ClassDef)
+                          and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not _is_dunder(child.name))]
+    return found
+
+
+def test_every_definition_is_reachable():
+    """A name-level closure over the package source, from cli.main, every
+    command handler and every suite, reaches each function, method and
+    class the package defines (dunders aside), except the few listed above.
+    Imports carry nothing, so `__init__` re-exports reach nothing; module
+    constants pass on what their values name.  Unlike a reference in a
+    test, only a command or a suite keeps a definition here."""
+    bodies, defined = {}, []
+    for path in sorted(Path(coconvex.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bodies.setdefault(target.id, []).append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, []).append(node)
+                if not _is_dunder(node.name):
+                    defined.append((node.name, f"{path.name}:{node.lineno} {node.name}"))
+    todo = ["main"] + [command.handler.__name__ for command in cli.COMMANDS]
+    todo += [suite.__name__ for suite in suites.SUITES.values()]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in bodies.get(name, ()):
+                todo += _used_names(node) - reached
+    assert [where for name, where in defined
+            if name not in reached and name not in UNREACHED_BY_DESIGN] == []
+    # the list stays exact: an entry that is reached or gone is removed
+    assert sorted(name for name in UNREACHED_BY_DESIGN
+                  if name in reached or name not in bodies) == []
