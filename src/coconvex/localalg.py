@@ -1,25 +1,27 @@
 """m-primary ideals in the localized polynomial ring over Q.
 
-Polynomials carry exact rational coefficients.  A term order is a strictly
-positive integer level functional refined lexicographically to a total
-order; the lowest-term valuation sends f to its order-minimal exponent.
-Initial ideals of powers a^k are read off from a truncated Macaulay-style
-echelon of generator products: truncating every row at level D only
-disturbs f above D, so pivots below D are exactly the valuation values
-there.  The echelon is the closure of the products under x_i-shifts, cut
-at D.  Its columns are the fixed numbering of one table per term order
-(the orthant exponents sorted by the order, as in the symbolic
-preprocessing of F4), so a pivot is a least index, a shift is a table
-lookup, and the monomials below D are a prefix whose length is the window
-a colength needs.  It is fraction-free: generators are scaled once to
-integer coefficients (same pivots), their products are taken over the
-integers, and rows are cross-multiplied.  Everything upstream (colength,
-multiplicity, Lech chain) reduces to staircase counting and covolume.
+Polynomials carry exact rational coefficients, the integral ones as `int`.
+A term order is a strictly positive integer level functional refined
+lexicographically to a total order; the lowest-term valuation sends f to
+its order-minimal exponent.  Initial ideals of powers a^k are read off
+from a truncated Macaulay-style echelon of generator products: truncating
+every row at level D only disturbs f above D, so pivots below D are
+exactly the valuation values there.  The echelon is the closure of the
+products under x_i-shifts, cut at D.  Its columns are the fixed numbering
+of one table per term order (the orthant exponents sorted by the order, as
+in the symbolic preprocessing of F4), so a pivot is a least index, a shift
+is a table lookup, and the monomials below D are a prefix whose length is
+the window a colength needs.  It is fraction-free: generators are scaled
+once to integer coefficients (same pivots), their products are taken over
+the integers, and rows are cross-multiplied.  Everything upstream
+(colength, multiplicity, Lech chain) reduces to staircase counting and
+covolume.
 
 The Lech chain e(a) <= e(in(a)) <= n! colength(a) reads e(a) off a
 reduction: n combinations J of the generators with J a^r = a^(r+1),
-checked by colengths, give e(a) = colength(J).  The Hilbert-Samuel fit is
-the fallback when no such J is found.
+checked by colengths, give e(a) = colength(J).  Each combination is scaled
+once to integer coefficients (the same ideal), so J and its products stay
+in `int`.  The Hilbert-Samuel fit is the fallback when no such J is found.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ from fractions import Fraction
 from .cones import RationalCone, orthant
 from .errors import (InvariantViolation, MonotonicityViolation,
                      NotPrimaryWithinCap, ZeroPolynomial)
-from .linalg import dot, rank, scale_to_int
+from .linalg import _exact, dot, rank, scale_to_int
 from .regions import covol, mixed_covol
-from .semigroups import (LatticeSemigroup, SemigroupIdealSet, complement_count,
-                         ideal_power, lattice_semigroup, semigroup_ideal,
-                         staircase_region, sum_ideals)
+from .semigroups import (LatticeSemigroup, SemigroupIdealSet,
+                         _prune_to_antichain, complement_count, ideal_power,
+                         lattice_semigroup, semigroup_ideal, staircase_region,
+                         sum_ideals)
 from .fitting import stabilized_leading
 
 
@@ -49,7 +52,8 @@ from .fitting import stabilized_leading
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial as a sorted tuple of (exponent, coefficient) pairs."""
+    """Polynomial as a sorted tuple of (exponent, coefficient) pairs; an
+    integral coefficient is an `int`, which compares and hashes alike."""
 
     n: int
     terms: tuple
@@ -58,7 +62,8 @@ class Poly:
     def from_dict(n: int, coeffs: dict) -> "Poly":
         items = []
         for exp, c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = _exact(c)
             if c == 0:
                 continue
             exp = tuple(int(e) for e in exp)
@@ -86,7 +91,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc.get(e, 0) + c
         return Poly.from_dict(self.n, acc)
 
 
@@ -94,7 +99,9 @@ def _clear_denominators(g: Poly) -> Poly:
     """Nonzero g times the lcm of its denominators: integer coefficients.
 
     A g with `int` coefficients already is that multiple, and comes back as
-    it is; the echelon of a power gets such products from `_product_map`.
+    it is; the echelon of a power gets such products from `_product_map`,
+    and the reduction certificate such candidates J from
+    `_reduction_multiplicity`, which scales each one here once.
     """
     if all(type(c) is int for _, c in g.terms):
         return g
@@ -103,7 +110,7 @@ def _clear_denominators(g: Poly) -> Poly:
 
 
 def monomial(n: int, exp, coeff=1) -> Poly:
-    return Poly.from_dict(n, {tuple(exp): Fraction(coeff)})
+    return Poly.from_dict(n, {tuple(exp): coeff})
 
 
 @dataclass(frozen=True)
@@ -438,7 +445,9 @@ def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
     """Staircase of in(a^k): echelon pivots below D0, everything above it.
 
     Above D0 = k * m0 * max(ell) every exponent has total degree >= k*m0,
-    so the corresponding monomial already lies in a^k.
+    so the corresponding monomial already lies in a^k.  The table's
+    exponents are orthant points by construction, so go to the prune as
+    they are; the band of max(ell) levels above D0 holds each pure power.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
@@ -448,8 +457,9 @@ def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
     ell = a.order.ell
     table = _monomial_table(a.order)
     band = table.exps[table.width(d0):table.width(d0 + max(ell))]
-    return semigroup_ideal(lattice_semigroup(orthant(a.n), ell),
-                           pivots.union(band))
+    cone = orthant(a.n)
+    return SemigroupIdealSet(lattice_semigroup(cone, ell),
+                             _prune_to_antichain(cone, pivots.union(band)))
 
 
 def colength(a) -> int:
@@ -588,7 +598,8 @@ def bk_report(ideals) -> BernsteinKushnirenkoReport:
 
 
 # The reduction candidate for t has h_i = sum_j (i + 2 + t)^j g_j for
-# i < n: Vandermonde rows, so the n combinations are independent.
+# i < n: Vandermonde rows, so the n combinations are independent.  Each
+# h_i is then scaled to integer coefficients, which keeps the ideal J.
 _REDUCTION_SHIFTS = (0, 1, 2)
 # The largest r tried in J a^r = a^(r+1).
 _REDUCTION_DEPTH = 2
@@ -623,6 +634,7 @@ def _reduction_multiplicity(a: PolyLocalIdeal):
         hs = [_combination(gens, i + 2 + t) for i in range(n)]
         if any(h.is_zero for h in hs):
             continue
+        hs = [_clear_denominators(h) for h in hs]
         try:
             j = poly_local_ideal(hs, a.order,
                                  cap=(_REDUCTION_DEPTH + 1) * a.m0)

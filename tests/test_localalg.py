@@ -24,7 +24,7 @@ from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
 from coconvex.semigroups import (complement_count, ideal_power,
                                  iter_points_at_level, lattice_semigroup,
                                  power_sequence, product_sequence,
-                                 staircase_region, sum_ideals)
+                                 semigroup_ideal, staircase_region, sum_ideals)
 from coconvex.localalg import (_Echelon, _MonomialTable, _clear_denominators,
                                _initial_pivots, _power_products,
                                _reduction_multiplicity)
@@ -875,3 +875,74 @@ def test_echelon_matches_dense_on_lech_inputs(monkeypatch):
     for p in products:
         pivots, d0 = _initial_pivots(p, 1)
         assert pivots == dense_truncated_echelon(p.generators, p.order, d0)
+
+
+def validated_staircase(a, k):
+    """in(a^k) along the validating path: every pivot below D0 and the band
+    of max(ell) levels above it through `semigroup_ideal`."""
+    pivots, d0 = _initial_pivots(a, k)
+    table = localalg._monomial_table(a.order)
+    band = table.exps[table.width(d0):table.width(d0 + max(a.order.ell))]
+    return semigroup_ideal(lattice_semigroup(orthant(a.n), a.order.ell),
+                           pivots.union(band))
+
+
+def test_trusted_staircase_matches_validated_path():
+    # the table's exponents go straight to the prune; under (2, 1) and
+    # (1, 3) the band above D0 spans several levels
+    ideals = reduction_corpus()
+    for ell in ((2, 1), (1, 3)):
+        ideals += [poly_local_ideal(gens, term_order(ell))
+                   for gens in far_power_corpus(random.Random(17))]
+    x, y, z = (monomial(3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    ideals.append(poly_local_ideal([x + y * z, y * y, z * z * z]))
+    for a in ideals:
+        for k in range(1, 5):
+            assert initial_semigroup_ideal(a, k) == validated_staircase(a, k), \
+                (a.generators, a.order.ell, k)
+
+
+def test_reduction_certificate_rows_are_integers(monkeypatch):
+    # J and every J a^r of the certificate carry int coefficients, and the
+    # scaled candidates span the ideal the unscaled ones span
+    certified, products, every_j = [], [], []
+    real_ideal, real_product = localalg.poly_local_ideal, localalg.product_ideal
+
+    def recorded_ideal(gens, order=None, cap=24):
+        certified.append((real_ideal(gens, order, cap), cap))
+        return certified[-1][0]
+
+    def recorded_product(a, b):
+        products.append(real_product(a, b))
+        return products[-1]
+
+    monkeypatch.setattr(localalg, "poly_local_ideal", recorded_ideal)
+    monkeypatch.setattr(localalg, "product_ideal", recorded_product)
+    for a in reduction_corpus():
+        del certified[:]
+        _reduction_multiplicity(a)
+        for j, cap in certified:
+            for t in localalg._REDUCTION_SHIFTS:
+                raw = [localalg._combination(a.generators, i + 2 + t)
+                       for i in range(a.n)]
+                if list(map(_clear_denominators, raw)) == list(j.generators):
+                    break
+            else:
+                pytest.fail(f"no candidate scales to {j.generators}")
+            assert colength(real_ideal(raw, a.order, cap)) == colength(j)
+        every_j += [j for j, _ in certified]
+    assert every_j and products
+    for ideal in every_j + products:
+        assert all(type(c) is int for g in ideal.generators for _, c in g.terms)
+
+
+def test_poly_keeps_integral_coefficients_as_int():
+    p = Poly.from_dict(2, {(1, 0): Fraction(6, 3), (0, 1): Fraction(1, 3),
+                           (2, 0): -4, (0, 2): Fraction(0)})
+    assert [(e, type(c)) for e, c in p.terms] == \
+        [((0, 1), Fraction), ((1, 0), int), ((2, 0), int)]
+    assert p.terms == (((0, 1), Fraction(1, 3)), ((1, 0), 2), ((2, 0), -4))
+    two, frac_two = monomial(2, (1, 1), 2), monomial(2, (1, 1), Fraction(2))
+    assert two == frac_two and hash(two) == hash(frac_two)
+    assert type(frac_two.terms[0][1]) is int
+    assert type((X + monomial(2, (1, 0), Fraction(1, 2))).terms[0][1]) is Fraction
