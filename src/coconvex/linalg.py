@@ -11,7 +11,9 @@ reduced row integral, holding the last pivot p on its own pivot column
 and 0 on the other kept rows' pivot columns.  `rank`, `pivot_columns`,
 `det`, `solve`, `nullspace` and `integer_dual_basis` only read its
 result; right-hand sides and identity blocks ride along as extra columns.
-`det`, `solve` and `nullspace` divide by p once, into ``Fraction``.
+`det`, `solve` and `nullspace` divide by p once, into ``Fraction``.  The
+one exception is `det` of a 2x2 or 3x3 matrix, which the covolume sums
+take over every simplex: it is expanded by cofactors, with no elimination.
 """
 
 from __future__ import annotations
@@ -66,10 +68,8 @@ def scale_to_int(u) -> tuple:
 def primitive(u) -> tuple:
     """Primitive integer vector on the same ray (gcd 1, direction kept)."""
     w = scale_to_int(u)
-    g = 0
-    for a in w:
-        g = gcd(g, abs(a))
-    if g == 0:
+    g = gcd(*w)
+    if g <= 1:
         return w
     return tuple(a // g for a in w)
 
@@ -118,9 +118,19 @@ def pivot_columns(rows) -> list:
     return sorted(col for _, col, _ in _gauss_jordan(rows)[0])
 
 
-def det(rows) -> Fraction:
-    """Determinant of a square matrix: the last pivot, with the sign of the
-    pivot-column permutation, over the product of the row scales."""
+def det(rows):
+    """Determinant of a square matrix, ValueError on any other.  A 2x2 or
+    3x3 matrix is expanded by cofactors, exact on ``int`` and ``Fraction``;
+    any other size takes the last pivot, with the sign of the pivot-column
+    permutation, over the product of the row scales."""
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     kept, p = _gauss_jordan(rows)
     if len(kept) < len(rows):
         return Fraction(0)

@@ -10,9 +10,10 @@ A lower-dimensional point set gets coordinates in one way only: it is
 projected onto the pivot coordinates of its affine span
 (`linalg.pivot_columns`), where the projection is injective, handled
 there as a full-dimensional polytope, and mapped back point by point.
-Faces are triangulated by pulling over facet incidences, with no further
-hull.  A lower-dimensional polytope has volume zero.  The area of a
-polygon (`hull_volume`) comes from a monotone chain too, with no pass.
+Vertices are read off the facet incidences, with no rank computed, and
+faces are triangulated by pulling over them, with no further hull.  A
+lower-dimensional polytope has volume zero.  The area of a polygon
+(`hull_volume`) comes from a monotone chain too, with no pass.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from fractions import Fraction
 
 from .errors import DegeneratePolytope, InvariantViolation
 from .cones import extreme_rays
-from .linalg import (det, dot, exact_vector, nullspace, pivot_columns, primitive,
-                     rank, vec_sub)
+from .linalg import det, dot, exact_vector, nullspace, pivot_columns, primitive, vec_sub
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,8 @@ class RationalPolytope:
 
     `vertices` are sorted `exact_vector` tuples; `halfspaces` are sorted pairs
     (normal, offset) with primitive integer normal, meaning normal.x >= offset.
-    Affine-hull equations of degenerate polytopes appear as opposite pairs.
+    Facet offsets are ``int``; affine-hull equations of degenerate polytopes
+    appear as opposite pairs with ``Fraction`` offsets.
     """
 
     dim: int
@@ -92,27 +93,33 @@ def homogenized_hull(points, rays, n: int):
     """Facets and vertices of conv(points) + cone(rays) in R^n.
 
     Returns the sorted (normal, offset) pairs, meaning normal.x >= offset
-    with primitive integer normals, and, in input order, the points at
-    which the tight facets have rank n: for points of the polyhedron these
-    are exactly its vertices.  A plane region over two independent rays
-    comes from `_planar_hull`.  Every other input takes one
-    double-description pass over the rays lifted with 0, then the points
-    lifted with 1; a point lifts once to a primitive integer q, at which a
-    facet f is tight when f . q = 0.  Rays go first because the pass then
-    tests fewer adjacent pairs; its sorted output does not depend on the
-    order.
+    with primitive integer normals and ``int`` offsets, and the vertices
+    among the points, in input order, duplicates included.  A plane region
+    over two independent rays comes from `_planar_hull`.  Every other input
+    takes one double-description pass over the rays lifted with 0, then
+    the points lifted with 1; a point lifts once to a primitive integer q,
+    at which a facet f is tight when f . q = 0.  Rays go first because the
+    pass then tests fewer adjacent pairs; its sorted output does not depend
+    on the order.
+
+    A point is a vertex when no lifted generator other than its own q is
+    tight on every facet tight at q: those generators span the least face
+    of the lifted cone through q, and only an equal point lifts to a
+    vector proportional to q.
     """
     if (points and n == 2 and len(rays) == 2
             and rays[0][0] * rays[1][1] != rays[0][1] * rays[1][0]):
         return _planar_hull(points, rays)
-    lifted = [primitive(tuple(p) + (1,)) for p in points]
-    normals = extreme_rays([tuple(r) + (0,) for r in rays] + lifted, n + 1)
+    lifted = [tuple(r) + (0,) for r in rays] + [primitive(tuple(p) + (1,)) for p in points]
+    normals = extreme_rays(lifted, n + 1)
     # A zero spatial normal is the lifted cone's facet t >= 0, not a facet
-    # of the polyhedron; drop it.
+    # of the polyhedron; drop it.  No lifted point lies on it.
     facets = [f for f in normals if any(f[:n])]
-    halfspaces = tuple(sorted((f[:n], Fraction(-f[n])) for f in facets))
-    vertices = tuple(p for p, q in zip(points, lifted)
-                     if rank([f[:n] for f in facets if dot(f, q) == 0]) == n)
+    halfspaces = tuple(sorted((f[:n], -f[n]) for f in facets))
+    # Bit i of a generator's mask: facets[i] is tight on it.
+    masks = [sum(1 << i for i, f in enumerate(facets) if dot(f, g) == 0) for g in lifted]
+    vertices = tuple(p for p, q, m in zip(points, lifted[len(rays):], masks[len(rays):])
+                     if not any(m & ~h == 0 and g != q for g, h in zip(lifted, masks)))
     return halfspaces, vertices
 
 
@@ -148,7 +155,7 @@ def _planar_hull(points, rays):
         normals.append(u if dot(u, rays[0]) > 0 else (-u[0], -u[1]))
     normals.append(u1)
     facets = [primitive(u + (-dot(u, v),)) for u, v in zip(normals, vs[:1] + vs)]
-    halfspaces = tuple(sorted((f[:2], Fraction(-f[2])) for f in facets))
+    halfspaces = tuple(sorted((f[:2], -f[2]) for f in facets))
     return halfspaces, tuple(p for p in points if tuple(p) in kept)
 
 

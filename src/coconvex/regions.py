@@ -39,7 +39,8 @@ class NewtonRegion:
     `generators` is pruned to the vertex set of the region, with integral
     coordinates as ``int`` and the others as ``Fraction``; `facets` are
     (normal, offset) pairs meaning normal.x >= offset, normals primitive
-    integer; `threshold` T certifies cone & {ell >= T} inside the region.
+    integer, offsets ``int``; `threshold` T certifies cone & {ell >= T}
+    inside the region.
     """
 
     cone: RationalCone
@@ -64,8 +65,9 @@ def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
     points t * r of a bare ray r stay outside for every t, and
     NotCobounded names that ray.  The threshold is the largest level of a
     generator: at that level the slice of the cone lies beyond each ray's
-    generator, hence in the region.  Vertices are the generators at which
-    the tight facets have rank n.  Raises ValueError on malformed input.
+    generator, hence in the region.  A generator is a vertex when no other
+    generator or ray is tight on every facet tight at it.  Raises
+    ValueError on malformed input.
 
     Calls with the same canonical input (the cone, the sorted set of exact
     generators and ell) share one frozen region from the bounded cache

@@ -187,10 +187,27 @@ def test_nullspace():
 
 
 def test_primitive_and_scale_to_int():
-    assert primitive((2, 4, 6)) == (1, 2, 3)
-    assert primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
-    assert primitive((0, -2)) == (0, -1)
+    """`primitive` returns a tuple of ``int`` for a list, the zero vector,
+    negative and Fraction entries, and an already primitive tuple."""
+    for u, expected in [((2, 4, 6), (1, 2, 3)), ((Fraction(1, 2), Fraction(1, 3)), (3, 2)),
+                        ((0, -2), (0, -1)), ([4, -6, 0], (2, -3, 0)), ((0, 0, 0), (0, 0, 0)),
+                        ((), ()), ((-3, -9), (-1, -3)),
+                        ((Fraction(-2, 3), Fraction(4, 9)), (-3, 2)),
+                        ((Fraction(6, 2), 9), (1, 3)), ((3, -5, 7), (3, -5, 7))]:
+        got = primitive(u)
+        assert type(got) is tuple and got == expected, u
+        assert all(type(a) is int for a in got), u
     assert scale_to_int((Fraction(1, 2), 1)) == (1, 2)
+
+
+def test_det_rejects_non_square():
+    for rows in ([(1, 2, 3), (4, 5, 6)], [(1, 2), (3, 4), (5, 6)],
+                 [(1, 2), (3,)], [(1, 2, 3), (4, 5, 6), (7, 8)], [(1, 2, 3, 4)] * 3,
+                 [(1, 2)]):
+        with pytest.raises(ValueError, match="non-square"):
+            det(rows)
+    assert det([]) == 1
+    assert det([(Fraction(-3, 2),)]) == Fraction(-3, 2)
 
 
 def test_exact_vector_matches_fraction_conversion():
@@ -259,7 +276,7 @@ def reference_scale_to_int(row):
 def test_kernel_matches_reference_eliminations():
     rng = random.Random(5)
     seen = {"singular": 0, "inconsistent": 0, "rank_deficient": 0, "big": 0,
-            "int_rows": 0, "zero_rows": 0}
+            "int_rows": 0, "zero_rows": 0, "cofactor_det": 0, "cofactor_singular": 0}
     for _ in range(2500):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         if rng.random() < 0.3:
@@ -288,6 +305,14 @@ def test_kernel_matches_reference_eliminations():
         if m == n:
             assert det(rows) == reference_det(rows), rows
             seen["singular"] += r < n
+            if n in (2, 3):
+                # Cofactor expansion, exact on Fraction rows and on the
+                # same rows scaled to int, where it stays int.
+                seen["cofactor_det"] += 1
+                seen["cofactor_singular"] += r < n
+                scaled = [scale_to_int(row) for row in rows]
+                d = det(scaled)
+                assert d == reference_det(scaled) and type(d) is int, rows
         x = solve(rows, rhs)
         assert x == reference_solve(rows, rhs), (rows, rhs)
         seen["inconsistent"] += x is None

@@ -501,6 +501,59 @@ def test_integer_vertex_test_matches_fraction_offsets():
     assert kept >= 1000 and dropped >= 500, (kept, dropped)
 
 
+def test_incidence_vertex_test_matches_rank_test():
+    """The facet-incidence vertex test keeps the points the rank test of
+    `fraction_homogenized_hull` keeps, on the inputs where containment of
+    incidence sets decides: duplicated points, the centroid of the vertices
+    on a facet, a vertex moved along a ray, interior points, the
+    non-simplicial cone over (1,0,0), (0,1,0), (1,0,1), (0,1,1), bounded
+    4-D hulls, and rays spanning a line, where no point is a vertex and
+    only the rays' incidences show it.  Every offset is an ``int``."""
+    rng = random.Random(41)
+    ray_sets = [(2, (), ""), (2, ((1, 1),), ""), (2, ((1, 0), (-1, 0)), "line"),
+                (3, (), ""), (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ""),
+                (3, ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)), "non_simplicial"),
+                (3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0)), "line"),
+                (4, (), "bounded_4d")]
+    seen = dict.fromkeys(["duplicate", "face_centroid", "along_ray", "interior",
+                          "non_simplicial", "bounded_4d", "line"], 0)
+    for case in range(400):
+        n, rays, kind = ray_sets[case % len(ray_sets)]
+        pts = [tuple(rng.randint(0 if rays else -4, 4) for _ in range(n))
+               for _ in range(rng.randint(n + 1, n + 5))]
+        try:
+            halfspaces, vertices = fraction_homogenized_hull(pts, rays, n)
+        except ValueError:
+            continue
+        base = vertices or pts
+        extra = [rng.choice(pts)]
+        seen["duplicate"] += 1
+        for u, c in halfspaces:
+            face = [v for v in base if dot(u, v) == c]
+            if len(face) > 1:
+                extra.append(tuple(Fraction(sum(xs), len(face)) for xs in zip(*face)))
+                seen["face_centroid"] += 1
+        for r in rays:
+            extra.append(tuple(a + b for a, b in zip(rng.choice(base), r)))
+            seen["along_ray"] += 1
+        # With the cone full-dimensional, the centroid of the vertices plus
+        # every ray lies in the interior.
+        inner = [Fraction(sum(xs), len(base)) for xs in zip(*base)]
+        for r in rays:
+            inner = [a + b for a, b in zip(inner, r)]
+        extra.append(tuple(inner))
+        seen["interior"] += all(dot(u, inner) > c for u, c in halfspaces)
+        if kind in seen:
+            seen[kind] += 1
+        pts += extra
+        rng.shuffle(pts)
+        got = homogenized_hull(pts, rays, n)
+        assert got == fraction_homogenized_hull(pts, rays, n), (pts, rays)
+        assert all(type(c) is int for _, c in got[0]), got
+        assert kind != "line" or got[1] == (), (pts, rays)
+    assert min(seen.values()) >= 40, seen
+
+
 def _chain_edges(halfspaces, vertices, rays):
     """Pairs of distinct vertices tight on one bounded facet."""
     return [pair for u, c in halfspaces if all(dot(u, r) > 0 for r in rays)
