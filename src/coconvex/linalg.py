@@ -22,10 +22,6 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-Vec = tuple
-Mat = list
-
-
 def dot(u, v):
     return sum(map(operator.mul, u, v))
 
@@ -42,10 +38,6 @@ def exact_vector(u) -> tuple:
 def _exact(a):
     q = Fraction(a)
     return q.numerator if q.denominator == 1 else q
-
-
-def is_zero(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 def _row_scale(u) -> int:

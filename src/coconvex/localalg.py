@@ -13,7 +13,11 @@ in the symbolic preprocessing of F4), so a pivot is a least index, a shift
 is a table lookup, and the monomials below D are a prefix whose length is
 the window a colength needs.  It is fraction-free: generators are scaled
 once to integer coefficients (same pivots), their products are taken over
-the integers, and rows are cross-multiplied.  Everything upstream
+the integers, and rows are cross-multiplied.  The same echelon certifies
+where to cut: in the degree order and cut at d + 1, its level-d pivots are
+all the degree-d monomials exactly when m^d lies in the ideal modulo
+m^(d+1), hence in the ideal (Nakayama); the least such d is m0, and a^k is
+cut at k * m0 * max(ell).  Everything upstream
 (colength, multiplicity, Lech chain) reduces to staircase counting and
 covolume.
 
@@ -39,10 +43,9 @@ from .errors import (InvariantViolation, MonotonicityViolation,
                      NotPrimaryWithinCap, ZeroPolynomial)
 from .linalg import _exact, dot, rank, scale_to_int
 from .regions import covol, mixed_covol
-from .semigroups import (LatticeSemigroup, SemigroupIdealSet,
-                         _prune_to_antichain, complement_count, ideal_power,
-                         lattice_semigroup, semigroup_ideal, staircase_region,
-                         sum_ideals)
+from .semigroups import (SemigroupIdealSet, _prune_to_antichain,
+                         complement_count, ideal_power, lattice_semigroup,
+                         semigroup_ideal, staircase_region, sum_ideals)
 from .fitting import stabilized_leading
 
 
@@ -100,8 +103,9 @@ def _clear_denominators(g: Poly) -> Poly:
 
     A g with `int` coefficients already is that multiple, and comes back as
     it is; the echelon of a power gets such products from `_product_map`,
-    and the reduction certificate such candidates J from
-    `_reduction_multiplicity`, which scales each one here once.
+    the reduction certificate such candidates J from
+    `_reduction_multiplicity`, and the m0 certificate such generators from
+    `mprimary_exponent`, each scaling them here once.
     """
     if all(type(c) is int for _, c in g.terms):
         return g
@@ -230,97 +234,81 @@ def _monomial_table(order: TermOrder) -> _MonomialTable:
     return _MonomialTable(order)
 
 
-class _Echelon:
-    """Fraction-free sparse elimination with order-minimal pivots, cut at a
-    level bound.
+def _reduce(pivots: dict, row: dict):
+    """Reduce `row` by the pivot rows and store what is left as a new one.
 
-    Rows map numbers of the order's `_MonomialTable` to integers, so the
-    pivot of a row is its least number.  A row is divided by its content
-    when it becomes a pivot row, so pivot rows are primitive with a positive
-    pivot coefficient.  Reducing r by the pivot row p at e sets r to
-    (p[e]/g) r - (r[e]/g) p with g = gcd(r[e], p[e]), so e cancels exactly.
-    Reduction tracks the candidate minimal numbers in a lazy-deletion heap
-    so each step costs the fill-in it causes, not a rescan of the whole row.
+    Rows map numbers of an order's `_MonomialTable` to integers, so the
+    pivot of a row is its least number.  Reducing r by the pivot row p at e
+    sets r to (p[e]/g) r - (r[e]/g) p with g = gcd(r[e], p[e]), so e cancels
+    exactly.  A row left nonzero is divided by its content and stored at its
+    least number, so pivot rows are primitive with a positive pivot
+    coefficient; that row is returned, or None when r reduces to zero.  A
+    lazy-deletion heap tracks the candidate least numbers, so each step
+    costs the fill-in it causes, not a rescan of the whole row.
     """
-
-    def __init__(self, order: TermOrder, bound: int):
-        self.order = order
-        self.bound = bound
-        self.table = _monomial_table(order)
-        self.width = self.table.width(bound)
-        self.pivots = {}
-
-    def reduce(self, row: dict, insert: bool):
-        heap = list(row)
-        heapq.heapify(heap)
-        while heap:
-            e = heapq.heappop(heap)
-            if e not in row:
-                continue
-            prow = self.pivots.get(e)
-            if prow is None:
-                if insert:
-                    content = math.gcd(*row.values())
-                    if row[e] < 0:
-                        content = -content
-                    self.pivots[e] = {k: v // content for k, v in row.items()}
-                return e
-            g = math.gcd(row[e], prow[e])
-            scale, c = prow[e] // g, row[e] // g
-            if scale != 1:
-                for k in row:
-                    row[k] *= scale
-            for k, v in prow.items():
-                old = row.get(k)
-                if old is None:
-                    heapq.heappush(heap, k)
-                    row[k] = -c * v
+    heap = list(row)
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)
+        if e not in row:
+            continue
+        prow = pivots.get(e)
+        if prow is None:
+            content = math.gcd(*row.values())
+            if row[e] < 0:
+                content = -content
+            pivots[e] = prow = {k: v // content for k, v in row.items()}
+            return prow
+        g = math.gcd(row[e], prow[e])
+        scale, c = prow[e] // g, row[e] // g
+        if scale != 1:
+            for k in row:
+                row[k] *= scale
+        for k, v in prow.items():
+            old = row.get(k)
+            if old is None:
+                heapq.heappush(heap, k)
+                row[k] = -c * v
+            else:
+                new = old - c * v
+                if new:
+                    row[k] = new
                 else:
-                    new = old - c * v
-                    if new:
-                        row[k] = new
-                    else:
-                        del row[k]
-        return None
-
-
-def _insert_shifts(ech: _Echelon, gens) -> None:
-    """Insert span{x^alpha * g cut at level `ech.bound`} as a closure.
-
-    Each generator goes in cut at the bound; whenever a row becomes a pivot
-    row r, x_i * r cut at the bound goes in too, for every variable i.  A
-    shift only raises levels, so cutting after it gives the same row as
-    cutting once; pivot rows never change once stored, so their span is
-    closed under the cut shifts, holds every generator, and is the span
-    above.  The shift of a number v stays below the bound exactly when v
-    lies below width(bound - ell[i]).
-    """
-    table, width = ech.table, ech.width
-    if any(g.n != ech.order.n for g in gens):
-        raise ValueError("dimension mismatch")
-    cuts = [(table.shifts[i], table.width(ech.bound - w))
-            for i, w in enumerate(ech.order.ell)]
-    rows = collections.deque(
-        {v: c for v, c in ((table.index.get(e, width), c) for e, c in g.terms)
-         if v < width} for g in gens)
-    while rows:
-        e = ech.reduce(rows.popleft(), insert=True)
-        if e is not None:
-            prow = ech.pivots[e]
-            for shift, cut in cuts:
-                rows.append({shift[v]: c for v, c in prow.items() if v < cut})
+                    del row[k]
+    return None
 
 
 def truncated_echelon(gens, order: TermOrder, bound: int) -> frozenset:
     """Pivot exponents of span{x^alpha * g} cut off at level `bound`.
 
-    The span is the closure that `_insert_shifts` builds; each pivot is the
-    valuation of an actual element, and every valuation value below the
-    certified completeness level appears.
+    The span is built as a closure, fraction-free: each nonzero generator
+    is scaled to integer coefficients and goes in cut at the bound, and
+    whenever a row becomes a pivot row r, x_i * r cut at the bound goes in
+    too, for every variable i.  A shift only raises levels, so cutting
+    after it gives the same row as cutting once; pivot rows never change
+    once stored, so their span is closed under the cut shifts, holds every
+    generator, and is the span above.  The shift of a number v stays below
+    the bound exactly when v lies below width(bound - ell[i]).  Each pivot
+    is the valuation of an actual element, and every valuation value below
+    the certified completeness level appears.
     """
-    ech = _Echelon(order, bound)
-    _insert_shifts(ech, [_clear_denominators(g) for g in gens if not g.is_zero])
-    return frozenset(map(ech.table.exps.__getitem__, ech.pivots))
+    gens = [_clear_denominators(g) for g in gens if not g.is_zero]
+    if any(g.n != order.n for g in gens):
+        raise ValueError("dimension mismatch")
+    table = _monomial_table(order)
+    width = table.width(bound)
+    cuts = [(table.shifts[i], table.width(bound - w))
+            for i, w in enumerate(order.ell)]
+    rows = collections.deque(
+        {v: c for v, c in ((table.index.get(e, width), c) for e, c in g.terms)
+         if v < width} for g in gens)
+    pivots = {}
+    while rows:
+        prow = _reduce(pivots, rows.popleft())
+        if prow is not None:
+            for shift, cut in cuts:
+                rows.append({shift[v]: c for v, c in prow.items() if v < cut})
+    return frozenset(map(table.exps.__getitem__, pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +330,13 @@ class MonomialIdealLocal:
         return self.staircase.semigroup.cone
 
 
-def monomial_ideal(exponents, cone: RationalCone = None,
-                   semigroup: LatticeSemigroup = None) -> MonomialIdealLocal:
+def monomial_ideal(exponents, cone: RationalCone = None) -> MonomialIdealLocal:
     exponents = [tuple(e) for e in exponents]
     if not exponents:
         raise ValueError("need at least one monomial")
-    if semigroup is None:
-        if cone is None:
-            cone = orthant(len(exponents[0]))
-        semigroup = lattice_semigroup(cone)
-    staircase = semigroup_ideal(semigroup, exponents)
+    if cone is None:
+        cone = orthant(len(exponents[0]))
+    staircase = semigroup_ideal(lattice_semigroup(cone), exponents)
     staircase_region(staircase)  # certifies the complement is finite
     return MonomialIdealLocal(staircase=staircase)
 
@@ -373,11 +358,14 @@ class PolyLocalIdeal:
 
 
 def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
-    """Smallest d <= cap with every degree-d monomial in the truncated span.
+    """Smallest d <= cap with every degree-d monomial in the span cut at d + 1.
 
     The test at d certifies m^d inside the ideal modulo m^(d+1); Nakayama
     upgrades that to m^d inside the ideal.  Membership does not depend on
-    the elimination order, so the echelon runs in the degree order.
+    the elimination order, so the echelon runs in the degree order.  Every
+    degree-d monomial lies in the cut span exactly when each one is a pivot
+    (the level-d pivot rows are then triangular on them), so the test counts
+    the level-d pivots of `truncated_echelon` against comb(d + n - 1, n - 1).
     """
     n = order.n
     zero = (0,) * n
@@ -387,13 +375,10 @@ def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
         if any(e == zero for e, _ in g.terms):
             raise ValueError("generator has a constant term, not in m")
     degree_order = standard_order(n)
-    table = _monomial_table(degree_order)
     gens = [_clear_denominators(g) for g in gens]
     for d in range(1, cap + 1):
-        ech = _Echelon(degree_order, d + 1)
-        _insert_shifts(ech, gens)
-        if all(ech.reduce({beta: 1}, insert=False) is None
-               for beta in range(table.width(d), ech.width)):
+        pivots = truncated_echelon(gens, degree_order, d + 1)
+        if sum(sum(e) == d for e in pivots) == math.comb(d + n - 1, n - 1):
             return d
     raise NotPrimaryWithinCap(f"no power of m below {cap} lies in the ideal")
 

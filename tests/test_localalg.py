@@ -25,7 +25,7 @@ from coconvex.semigroups import (complement_count, ideal_power,
                                  iter_points_at_level, lattice_semigroup,
                                  power_sequence, product_sequence,
                                  semigroup_ideal, staircase_region, sum_ideals)
-from coconvex.localalg import (_Echelon, _MonomialTable, _clear_denominators,
+from coconvex.localalg import (_MonomialTable, _clear_denominators,
                                _initial_pivots, _power_products,
                                _reduction_multiplicity)
 from coconvex.radicals import compare_root_sum
@@ -644,6 +644,24 @@ def test_integer_echelon_matches_fraction_oracle():
             cap = 6 if n == 2 else 4
             assert mprimary_or_none(gens, order, cap) == \
                 fraction_mprimary_exponent(gens, order, cap), gens
+    # m0 of the polynomial-lech shapes under two orders and of a 3-variable
+    # ideal, and of each ideal's reduction candidates J under the
+    # certificate's cap
+    x, y, z = (monomial(3, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    ideals = [(gens, order) for gens in far_power_corpus(random.Random(7))
+              for order in (ORD2, term_order((2, 3)))]
+    ideals.append(([x + y * z, y * y, z * z * z], standard_order(3)))
+    for gens, order in ideals:
+        a = poly_local_ideal(gens, order)
+        assert a.m0 == fraction_mprimary_exponent(gens, order, 24), gens
+        cap = (localalg._REDUCTION_DEPTH + 1) * a.m0
+        for t in localalg._REDUCTION_SHIFTS:
+            hs = [localalg._combination(gens, i + 2 + t) for i in range(a.n)]
+            if any(h.is_zero for h in hs):
+                continue
+            hs = [_clear_denominators(h) for h in hs]
+            assert mprimary_or_none(hs, order, cap) == \
+                fraction_mprimary_exponent(hs, order, cap), hs
 
 
 def test_truncated_echelon_matches_dense_elimination():
@@ -726,13 +744,13 @@ def test_closure_echelon_work_count(monkeypatch):
     a = poly_local_ideal([monomial(2, (3, 0)), Y2,
                           poly2({(0, 2): Fraction(-3, 2), (1, 1): Fraction(5, 4)})])
     calls = []
-    real = _Echelon.reduce
+    real = localalg._reduce
 
-    def counted(self, row, insert):
-        calls.append(insert)
-        return real(self, row, insert)
+    def counted(pivots, row):
+        calls.append(row)
+        return real(pivots, row)
 
-    monkeypatch.setattr(_Echelon, "reduce", counted)
+    monkeypatch.setattr(localalg, "_reduce", counted)
     pivots, _ = _initial_pivots.__wrapped__(a, 12)
     products = _power_products(a, 12)
     assert (len(pivots), len(products)) == (288, 91)
