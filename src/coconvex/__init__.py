@@ -25,11 +25,10 @@ from .localalg import (BernsteinKushnirenkoReport, LechChain,
 from .polytopes import RationalPolytope, hull_vertices, polytope_volume
 from .regions import (NewtonRegion, cone_region, covol, minkowski_sum,
                       mixed_covol, newton_diagram, newton_region, scale)
-from .semigroups import (LatticeSemigroup, PrimaryGradedSequence,
-                         SemigroupIdealSet, complement_count, gamma_region,
-                         hilbert_basis, ideal_power, lattice_semigroup,
-                         power_sequence, product_sequence, semigroup_ideal,
-                         staircase_region, sum_ideals)
+from .semigroups import (LatticeSemigroup, SemigroupIdealSet,
+                         complement_count, hilbert_basis, ideal_power,
+                         lattice_semigroup, semigroup_ideal, staircase_region,
+                         sum_ideals)
 from .randgen import InstanceSpec, XorShift64Star, random_monomial_ideal
 from .suites import (SUITES, VerificationReport, suite_af_covol,
                      suite_bm_covol, suite_bm_mult, suite_lech,

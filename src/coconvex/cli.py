@@ -27,7 +27,6 @@ from .jsonio import (any_ideal_from_json, frac_str, monomial_ideal_from_json,
 from .localalg import (MonomialIdealLocal, bk_report, colength, hilbert_samuel,
                        initial_semigroup_ideal, lech_chain, mixed_multiplicity,
                        multiplicity, multiplicity_report)
-from .polytopes import RationalPolytope
 from .randgen import InstanceSpec
 from .regions import covol, newton_diagram
 from .semigroups import staircase_region
@@ -85,8 +84,8 @@ def _emit(payload: dict, args) -> None:
     _write(text, args.output)
 
 
-def _vertices_list(poly: RationalPolytope):
-    return [[frac_str(x) for x in v] for v in poly.vertices]
+def _vertices_list(vertices):
+    return [[frac_str(x) for x in v] for v in vertices]
 
 
 def _multiplicity(args) -> dict:

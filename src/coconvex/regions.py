@@ -29,7 +29,7 @@ from fractions import Fraction
 from .cones import RationalCone, is_positive_on_cone
 from .errors import ConeMismatch, NonpositiveScalar, NotCobounded, WrongArity
 from .linalg import det, dot, exact_vector, primitive
-from .polytopes import homogenized_hull, hull_vertices, hull_volume, pull_simplices
+from .polytopes import homogenized_hull, hull_volume, pull_simplices
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ class NewtonRegion:
     @property
     def dim(self) -> int:
         return self.cone.dim
-
-    def contains(self, point) -> bool:
-        return all(dot(u, point) >= c for u, c in self.facets)
 
 
 def newton_region(cone: RationalCone, generators, ell) -> NewtonRegion:
@@ -156,8 +153,13 @@ def _facet_incidences(region: NewtonRegion):
 
 
 def newton_diagram(region: NewtonRegion):
-    """Bounded faces of the region, as polytopes."""
-    return [hull_vertices([region.generators[i] for i in face])
+    """Bounded facets of the region, each as its sorted vertex tuple.
+
+    The vertices of a face of a polyhedron are the polyhedron's vertices
+    lying on it, so each facet's vertices are the generators tight on it,
+    read off the facet incidences with no hull built.
+    """
+    return [tuple(sorted(region.generators[i] for i in face))
             for face in _facet_incidences(region)[1]]
 
 

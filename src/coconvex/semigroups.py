@@ -30,7 +30,7 @@ from .cones import RationalCone, is_positive_on_cone
 from .errors import ConeMismatch, InvariantViolation, NotCobounded, NotPrimary
 from .linalg import dot, integer_dual_basis, primitive, vec_sub
 from .polytopes import triangulate_points
-from .regions import NewtonRegion, covol, minkowski_sum, newton_region
+from .regions import NewtonRegion, newton_region
 
 NEVER_DOMINATED = ("staircase complement is infinite: "
                    "some ray of the cone is never dominated")
@@ -370,55 +370,3 @@ def complement_count(ideal: SemigroupIdealSet) -> int:
         gens = [tuple(-((x - y) // d) for x, y in zip(c, ag)) for ag in coords]
         total += _orthant_colength(gens, n)
     return total
-
-
-# ---------------------------------------------------------------------------
-# Primary graded sequences
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrimaryGradedSequence:
-    """Graded sequence I_k with I_k + I_m inside I_{k+m}.
-
-    kind "powers": I_k = k * base; "product": I_k = I'_k + I''_k.
-    """
-
-    semigroup: LatticeSemigroup
-    kind: str
-    base: SemigroupIdealSet | None = None
-    factors: tuple | None = None
-
-    def term(self, k: int) -> SemigroupIdealSet:
-        if k < 1:
-            raise ValueError("index must be >= 1")
-        if self.kind == "powers":
-            return ideal_power(self.base, k)
-        a, b = self.factors
-        return sum_ideals(a.term(k), b.term(k))
-
-
-def power_sequence(ideal: SemigroupIdealSet) -> PrimaryGradedSequence:
-    return PrimaryGradedSequence(semigroup=ideal.semigroup, kind="powers",
-                                 base=ideal)
-
-
-def product_sequence(a: PrimaryGradedSequence,
-                     b: PrimaryGradedSequence) -> PrimaryGradedSequence:
-    if a.semigroup != b.semigroup:
-        raise ConeMismatch("sequences over different semigroups")
-    return PrimaryGradedSequence(semigroup=a.semigroup, kind="product",
-                                 factors=(a, b))
-
-
-def gamma_region(seq: PrimaryGradedSequence) -> NewtonRegion:
-    """Region of the sequence: the staircase region of a power sequence's
-    base, the Minkowski sum of the factors' regions for a product."""
-    if seq.kind == "powers":
-        return staircase_region(seq.base)
-    a, b = seq.factors
-    return minkowski_sum(gamma_region(a), gamma_region(b))
-
-
-def multiplicity(seq: PrimaryGradedSequence) -> Fraction:
-    """e(I_k) = lim H(k)/k^n, equal to the covolume of the region."""
-    return covol(gamma_region(seq))

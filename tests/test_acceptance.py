@@ -23,10 +23,8 @@ from coconvex.randgen import InstanceSpec, XorShift64Star, random_monomial_ideal
 from coconvex.regions import (cone_region, covol, minkowski_sum, mixed_covol,
                               newton_region, scale)
 from coconvex.semigroups import (complement_count, ideal_power,
-                                 lattice_semigroup, power_sequence,
-                                 product_sequence, semigroup_ideal,
+                                 lattice_semigroup, semigroup_ideal,
                                  staircase_region)
-from coconvex.semigroups import multiplicity as seq_multiplicity
 from coconvex.suites import (suite_af_covol, suite_bm_covol, suite_bm_mult,
                              suite_lech)
 
@@ -171,9 +169,9 @@ def test_criterion_6_polynomiality():
             left = unit if l1 == 0 else scale(ra, l1)
             right = unit if l2 == 0 else scale(rb, l2)
             covol_grid[(l1, l2)] = covol(minkowski_sum(left, right))
-            s1 = power_sequence(ideal_power(a.staircase, l1) if l1 else origin)
-            s2 = power_sequence(ideal_power(b.staircase, l2) if l2 else origin)
-            mult_grid[(l1, l2)] = seq_multiplicity(product_sequence(s1, s2))
+            r1 = staircase_region(ideal_power(a.staircase, l1) if l1 else origin)
+            r2 = staircase_region(ideal_power(b.staircase, l2) if l2 else origin)
+            mult_grid[(l1, l2)] = covol(minkowski_sum(r1, r2))
         for grid in (covol_grid, mult_grid):
             coeffs, residual_zero = fit_homogeneous_pair(grid, 2)
             assert residual_zero

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -79,12 +80,60 @@ def test_covolume_not_cobounded_exit_2(tmp_path, capsys):
     assert "NotCobounded" in err
 
 
+# `newton` inputs: orthant staircases in dims 2 and 3 (the second with a
+# quadrilateral face), a staircase over the skew cone (1,0),(1,2), a region
+# over the four-ray cone (1,0,0),(0,1,0),(1,0,1),(0,1,1), and a region with
+# fractional generators.
+NEWTON_INPUTS = {
+    "orthant2": {"dim": 2, "generators": [[4, 0], [2, 1], [1, 2], [0, 3]]},
+    "orthant3": {"dim": 3, "generators": [[2, 0, 0], [0, 2, 0], [1, 0, 1],
+                                          [0, 1, 1], [0, 0, 3]]},
+    "skew": {"cone_rays": [[1, 0], [1, 2]], "generators": [[3, 0], [1, 1], [2, 4]]},
+    "four-ray": {"cone_rays": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]],
+                 "generators": [[2, 0, 0], [0, 3, 0], [2, 0, 2], [0, 3, 3],
+                                [1, 1, 1]],
+                 "ell": [1, 1, 1]},
+    "fractional": {"generators": [["5/2", 0], ["1/3", "2/3"], [0, "7/4"],
+                                  [1, "1/2"]],
+                   "ell": [1, 1]},
+}
+
+# SHA-256 of `newton` stdout on each input, in each format.
+NEWTON_DIGESTS = {
+    ("orthant2", "json"):
+        "5229cce1185ef35569d16648f68fd61597ddd91391b8e6f71ee8c81debc4177c",
+    ("orthant2", "table"):
+        "9862bdccf5116a1bc0247492714130e9c1b7eb90a9cb2043d8956ab6757fb489",
+    ("orthant3", "json"):
+        "521ea46e7a895ba063a50016aeb49e656c44978117c87c715f229d00df5c28a3",
+    ("orthant3", "table"):
+        "d0be488b10e46e86f2f7e44fdf92232a87e5bb3c76e5197a1d3175bbb8b2b81c",
+    ("skew", "json"):
+        "2d54931a6125440c14d7003e6104e6a28146eb6cf5ec30a82a77c99eda4259ec",
+    ("skew", "table"):
+        "2a33e946f648715709356ad34eb7431d193011ddaa82152e71ccb256ed6e46e6",
+    ("four-ray", "json"):
+        "371660571f5b1e52197052f422bba0f29c47a5af9e42c0befedd775b56d736b4",
+    ("four-ray", "table"):
+        "50586994d4c5160747e5ee4990a004b2e858876e361c0c561d973742e87bb4c2",
+    ("fractional", "json"):
+        "9123f1536155c31df6795df5a2c02e78d139a1360ba45f647b7827449b2af86b",
+    ("fractional", "table"):
+        "1c2403bdad6181875cbaee38ad4f0596b4e97258e13a0d3099a2872fbb86c453",
+}
+
+
 def test_newton_command(tmp_path, capsys):
     path = write(tmp_path, "m.json", {"dim": 2, "generators": [[3, 0], [1, 1], [0, 2]]})
     code, out, _ = run(capsys, ["newton", "--input", path])
     assert code == 0
     payload = json.loads(out)
     assert len(payload["diagram"]) == 2
+    for (name, fmt), digest in NEWTON_DIGESTS.items():
+        path = write(tmp_path, f"{name}.json", NEWTON_INPUTS[name])
+        code, out, err = run(capsys, ["newton", "--input", path, "--format", fmt])
+        assert (code, err) == (0, ""), name
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, fmt)
 
 
 def test_mixed_and_bk(tmp_path, capsys):

@@ -23,7 +23,6 @@ from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                term_order, truncated_echelon, valuation)
 from coconvex.semigroups import (complement_count, ideal_power,
                                  iter_points_at_level, lattice_semigroup,
-                                 power_sequence, product_sequence,
                                  semigroup_ideal, staircase_region, sum_ideals)
 from coconvex.localalg import (_MonomialTable, _clear_denominators,
                                _initial_pivots, _power_products,
@@ -356,8 +355,7 @@ def test_graded_subspace_sequence():
     a = monomial_ideal([(1, 0), (0, 1)])
     b = monomial_ideal([(2, 0), (0, 2)])
     assert ideal_power(a.staircase, 2).min_generators == ((0, 2), (1, 1), (2, 0))
-    prod = product_sequence(power_sequence(a.staircase), power_sequence(b.staircase))
-    assert prod.term(1) == product_ideal(a, b).staircase
+    assert sum_ideals(a.staircase, b.staircase) == product_ideal(a, b).staircase
     ap = poly_local_ideal([X + Y2, Y3])
     sq = product_ideal(ap, ap)
     assert sq.m0 == 2 * ap.m0

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from coconvex import regions as regions_module
-from coconvex.cones import dual_description, orthant
+from coconvex.cones import dual_description, is_positive_on_cone, orthant
 from coconvex.errors import (ConeMismatch, NonpositiveScalar, NotCobounded,
                              WrongArity)
 from coconvex.fitting import fit_homogeneous_pair
@@ -275,16 +275,34 @@ def test_cone_mismatch_rejected():
         minkowski_sum(r1, r3)
 
 
+def hull_diagram(region):
+    """Reference diagram: the hull vertices of the generators tight on each
+    bounded facet, in facet order."""
+    return [hull_vertices([g for g in region.generators if dot(u, g) == c]).vertices
+            for u, c in region.facets if is_positive_on_cone(u, region.cone)]
+
+
 def test_newton_diagram_cases():
-    assert [f.vertices for f in newton_diagram(region2([(1, 0), (0, 1)]))] == \
+    assert newton_diagram(region2([(1, 0), (0, 1)])) == \
         [((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))]
     assert newton_diagram(cone_region(O2, ELL2)) == []
     faces = newton_diagram(region2([(3, 0), (1, 1), (0, 2)]))
-    segments = sorted(tuple(sorted(f.vertices)) for f in faces)
-    assert segments == [
+    assert sorted(faces) == [
         ((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))),
         ((Fraction(1), Fraction(1)), (Fraction(3), Fraction(0))),
     ]
+    # Seeded regions, half with fractional generators; small coordinates
+    # put several generators on one facet.
+    rng = random.Random(29)
+    cones = [orthant(1), O2, O3, orthant(4), SKEW, FOUR_RAY, SKEW3]
+    wide_faces = 0
+    for cone, den, _ in itertools.product(cones, (1, 2), range(8)):
+        region = random_cone_region(rng, cone, (1,) * cone.dim, bound=2, extra=3,
+                                    den=den)
+        diagram = newton_diagram(region)
+        assert diagram == hull_diagram(region), region.generators
+        wide_faces += sum(len(face) > cone.dim for face in diagram)
+    assert wide_faces > 0
 
 
 def test_mixed_covol_examples():

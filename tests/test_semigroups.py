@@ -1,4 +1,4 @@
-"""Staircase ideals, Hilbert-Samuel counting, primary sequences."""
+"""Staircase ideals, Hilbert-Samuel counting, staircase-region multiplicities."""
 
 import itertools
 import math
@@ -16,11 +16,10 @@ from coconvex.fitting import stabilized_leading
 from coconvex.linalg import dot, integer_dual_basis, primitive, vec_sub
 from coconvex.polytopes import triangulate_points
 from coconvex.regions import covol, minkowski_sum, mixed_covol
-from coconvex.semigroups import (complement_count, gamma_region, hilbert_basis,
-                                 ideal_power, iter_points_at_level,
-                                 lattice_semigroup, multiplicity, power_sequence,
-                                 product_sequence, semigroup_ideal,
-                                 staircase_region, sum_ideals, _coset_complement)
+from coconvex.semigroups import (complement_count, hilbert_basis, ideal_power,
+                                 iter_points_at_level, lattice_semigroup,
+                                 semigroup_ideal, staircase_region, sum_ideals,
+                                 _coset_complement)
 from test_linalg import dual_basis
 
 S2 = lattice_semigroup(orthant(2))
@@ -134,9 +133,9 @@ def box_hilbert_basis(cone):
     return all_pairs_prune(cone, candidates)
 
 
-def mixed_multiplicity_of(seqs):
-    """n! times the mixed covolume of the sequences' regions."""
-    return math.factorial(len(seqs)) * mixed_covol([gamma_region(s) for s in seqs])
+def mixed_multiplicity_of(ideals):
+    """n! times the mixed covolume of the ideals' staircase regions."""
+    return math.factorial(len(ideals)) * mixed_covol([staircase_region(i) for i in ideals])
 
 
 def level_scan(ideal):
@@ -494,71 +493,38 @@ def test_complement_infinite_raises():
 
 
 def test_hilbert_samuel_closed_forms():
-    seq = power_sequence(ideal2([(1, 0), (0, 1)]))
-    hs = [complement_count(seq.term(k)) for k in range(1, 9)]
+    ideal = ideal2([(1, 0), (0, 1)])
+    hs = [complement_count(ideal_power(ideal, k)) for k in range(1, 9)]
     assert hs == [k * (k + 1) // 2 for k in range(1, 9)]
     assert hs[2] == 6
-    seq3 = power_sequence(semigroup_ideal(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-    hs3 = [complement_count(seq3.term(k)) for k in range(1, 6)]
+    ideal3 = semigroup_ideal(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    hs3 = [complement_count(ideal_power(ideal3, k)) for k in range(1, 6)]
     assert hs3 == [(k + 2) * (k + 1) * k // 6 for k in range(1, 6)]
     assert hs3[1] == 4
 
 
-def test_gamma_region_power_equals_staircase_hull():
-    ideal = ideal2([(1, 0), (0, 1)])
-    region = gamma_region(power_sequence(ideal))
-    assert region.facets == staircase_region(ideal).facets
-    assert covol(region) == Fraction(1, 2)
-
-
-def test_gamma_region_product_is_minkowski_sum():
-    a, b = ideal2([(1, 0), (0, 1)]), ideal2([(2, 0), (0, 2)])
-    region = gamma_region(product_sequence(power_sequence(a), power_sequence(b)))
-    expected = minkowski_sum(staircase_region(a), staircase_region(b))
-    assert region.facets == expected.facets
-    assert covol(region) == Fraction(9, 2)
-
-
-def test_gamma_region_additivity_random():
-    rng = random.Random(3)
-    for _ in range(10):
-        gens_a = [(rng.randint(1, 5), 0), (0, rng.randint(1, 5)),
-                  (rng.randint(0, 5), rng.randint(0, 5))]
-        gens_b = [(rng.randint(1, 5), 0), (0, rng.randint(1, 5)),
-                  (rng.randint(0, 5), rng.randint(0, 5))]
-        a = ideal2([g for g in gens_a if any(g)])
-        b = ideal2([g for g in gens_b if any(g)])
-        lhs = gamma_region(product_sequence(power_sequence(a), power_sequence(b)))
-        rhs = minkowski_sum(gamma_region(power_sequence(a)),
-                            gamma_region(power_sequence(b)))
-        assert lhs.facets == rhs.facets
-
-
-def test_gamma_region_powers_of_origin():
-    region = gamma_region(power_sequence(ideal2([(0, 0)])))
-    assert covol(region) == 0
-    assert region.facets == staircase_region(ideal2([(0, 0)])).facets
-
-
 def test_multiplicity_values():
-    assert multiplicity(power_sequence(ideal2([(1, 0), (0, 1)]))) == Fraction(1, 2)
-    assert multiplicity(power_sequence(ideal2([(2, 0), (0, 2)]))) == 2
-    prod = product_sequence(power_sequence(ideal2([(1, 0), (0, 1)])),
-                            power_sequence(ideal2([(2, 0), (0, 2)])))
-    assert multiplicity(prod) == Fraction(9, 2)
+    """Covolumes e/n! of staircase regions and of their Minkowski sums: the
+    region of a product of ideals is the sum of their regions."""
+    m, m2 = ideal2([(1, 0), (0, 1)]), ideal2([(2, 0), (0, 2)])
+    assert covol(staircase_region(m)) == Fraction(1, 2)
+    assert covol(staircase_region(m2)) == 2
+    assert covol(minkowski_sum(staircase_region(m), staircase_region(m2))) == \
+        Fraction(9, 2)
+    assert covol(staircase_region(ideal2([(0, 0)]))) == 0
 
 
 def test_mixed_multiplicity_semigroup_examples():
-    a = power_sequence(ideal2([(1, 0), (0, 1)]))
-    b = power_sequence(ideal2([(2, 0), (0, 2)]))
-    assert mixed_multiplicity_of([b, b]) == 2 * covol(gamma_region(b))
+    a = ideal2([(1, 0), (0, 1)])
+    b = ideal2([(2, 0), (0, 2)])
+    assert mixed_multiplicity_of([b, b]) == 2 * covol(staircase_region(b))
     assert mixed_multiplicity_of([a, b]) == 2
-    scaled = power_sequence(ideal_power(ideal2([(1, 0), (0, 1)]), 3))
+    scaled = ideal_power(a, 3)
     assert mixed_multiplicity_of([scaled, b]) == \
         3 * mixed_multiplicity_of([a, b])
     with pytest.raises(ConeMismatch):
-        seq3 = power_sequence(semigroup_ideal(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-        mixed_multiplicity_of([a, seq3])
+        a3 = semigroup_ideal(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        mixed_multiplicity_of([a, a3])
 
 
 def test_limit_theorem_small():
@@ -582,9 +548,9 @@ def test_polynomiality_worked_example():
     origin = ideal2([(0, 0)])
 
     def e_scaled(k1, k2):
-        s1 = power_sequence(ideal_power(a, k1) if k1 else origin)
-        s2 = power_sequence(ideal_power(b, k2) if k2 else origin)
-        return 2 * multiplicity(product_sequence(s1, s2))  # n! = 2
+        r1 = staircase_region(ideal_power(a, k1) if k1 else origin)
+        r2 = staircase_region(ideal_power(b, k2) if k2 else origin)
+        return 2 * covol(minkowski_sum(r1, r2))  # n! = 2
 
     assert e_scaled(1, 0) == 1
     assert e_scaled(0, 1) == 4
@@ -593,8 +559,7 @@ def test_polynomiality_worked_example():
     # is n! times the mixed multiplicity
     cross = e_scaled(1, 1) - e_scaled(1, 0) - e_scaled(0, 1)
     assert cross == 4
-    assert cross == 2 * mixed_multiplicity_of(
-        [power_sequence(a), power_sequence(b)])
+    assert cross == 2 * mixed_multiplicity_of([a, b])
     # homogeneity along an axis: P(k, 0) = k^n e(I1)
     for k in (2, 3):
         assert e_scaled(k, 0) == k ** 2 * e_scaled(1, 0)
@@ -608,16 +573,16 @@ def test_af_bm_for_semigroup_multiplicities():
                   (rng.randint(0, 5), rng.randint(0, 5))]
         gens_b = [(rng.randint(1, 5), 0), (0, rng.randint(1, 5)),
                   (rng.randint(0, 5), rng.randint(0, 5))]
-        a = power_sequence(ideal2([g for g in gens_a if any(g)]))
-        b = power_sequence(ideal2([g for g in gens_b if any(g)]))
+        a = ideal2([g for g in gens_a if any(g)])
+        b = ideal2([g for g in gens_b if any(g)])
         # Alexandrov-Fenchel: e(a,a) e(b,b) >= e(a,b)^2
         assert mixed_multiplicity_of([a, a]) * \
             mixed_multiplicity_of([b, b]) >= \
             mixed_multiplicity_of([a, b]) ** 2
-        # Brunn-Minkowski for the sum sequence
-        s = product_sequence(a, b)
-        assert compare_root_sum(multiplicity(a), multiplicity(b),
-                                multiplicity(s), 2) >= 0
+        # Brunn-Minkowski for the product, whose region is the sum
+        ra, rb = staircase_region(a), staircase_region(b)
+        assert compare_root_sum(covol(ra), covol(rb),
+                                covol(minkowski_sum(ra, rb)), 2) >= 0
 
 
 def test_hilbert_basis_orthant_and_skew():
