@@ -8,9 +8,8 @@ inequality families are verified with exact rational arithmetic.
 """
 
 from .cones import RationalCone, dual_description, is_positive_on_cone, orthant
-from .errors import (CoconvexError, ConeMismatch, DegeneratePolytope,
-                     InputFormatError, InvariantViolation,
-                     MonotonicityViolation, NonpositiveScalar, NotCobounded,
+from .errors import (CoconvexError, ConeMismatch, InputFormatError,
+                     InvariantViolation, MonotonicityViolation, NotCobounded,
                      NotFullDimensional, NotPrimary, NotPrimaryWithinCap,
                      NotStronglyConvex, SingularSystem, WrongArity,
                      ZeroPolynomial)
@@ -24,7 +23,7 @@ from .localalg import (BernsteinKushnirenkoReport, LechChain,
                        term_order, truncated_echelon, valuation)
 from .polytopes import RationalPolytope, hull_vertices, polytope_volume
 from .regions import (NewtonRegion, cone_region, covol, minkowski_sum,
-                      mixed_covol, newton_diagram, newton_region, scale)
+                      mixed_covol, newton_diagram, newton_region)
 from .semigroups import (LatticeSemigroup, SemigroupIdealSet,
                          complement_count, hilbert_basis, ideal_power,
                          lattice_semigroup, semigroup_ideal, staircase_region,

@@ -43,25 +43,37 @@ def _load_json(path: str):
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _render_table(data, indent: str = "") -> str:
-    lines = []
-    if isinstance(data, dict):
-        width = max((len(str(k)) for k in data), default=0)
+def _one_line(value) -> str | None:
+    """A scalar, a list of scalars as [a, b] or an empty dict as {}; None
+    for a value that needs lines of its own."""
+    if isinstance(value, list):
+        if any(isinstance(x, (dict, list)) for x in value):
+            return None
+        return "[" + ", ".join(map(str, value)) + "]"
+    return None if isinstance(value, dict) and value else str(value)
+
+
+def _table_lines(data, indent: str):
+    """Lines of `data` at `indent`: a dict's keys aligned, a nested value
+    indented under its key, and each item of a list opened by "- ", so
+    the rows of nested lists stay apart."""
+    text = _one_line(data)
+    if text is not None:
+        yield indent + text
+    elif isinstance(data, dict):
+        width = max(len(str(k)) for k in data)
         for key, value in data.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{indent}{key}:")
-                lines.append(_render_table(value, indent + "  "))
+            text = _one_line(value)
+            if text is None:
+                yield f"{indent}{key}:"
+                yield from _table_lines(value, indent + "  ")
             else:
-                lines.append(f"{indent}{str(key).ljust(width)}  {value}")
-    elif isinstance(data, list):
-        for value in data:
-            if isinstance(value, (dict, list)):
-                lines.append(_render_table(value, indent + "  "))
-            else:
-                lines.append(f"{indent}- {value}")
+                yield f"{indent}{str(key).ljust(width)}  {text}"
     else:
-        lines.append(f"{indent}{data}")
-    return "\n".join(line for line in lines if line)
+        for value in data:
+            first, *rest = _table_lines(value, indent + "  ")
+            yield indent + "- " + first[len(indent) + 2:]
+            yield from rest
 
 
 def _write(text: str, output) -> None:
@@ -80,7 +92,7 @@ def _emit(payload: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
-        text = _render_table(payload)
+        text = "\n".join(_table_lines(payload, ""))
     _write(text, args.output)
 
 
@@ -96,7 +108,7 @@ def _multiplicity(args) -> dict:
     return {
         "e_upper": frac_str(report.e_upper),
         "e_exact": frac_str(report.e_fit) if report.e_fit is not None else None,
-        "fit_stabilized": report.fit_stabilized,
+        "fit_stabilized": report.e_fit is not None,
         "u_sequence": [frac_str(u) for u in report.u_values],
         "hilbert_samuel": list(report.hilbert_values),
     }

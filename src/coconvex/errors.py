@@ -13,10 +13,6 @@ class NotStronglyConvex(CoconvexError):
     """The cone contains a line through the origin."""
 
 
-class DegeneratePolytope(CoconvexError):
-    """The polytope is lower-dimensional than the ambient space."""
-
-
 class NotCobounded(CoconvexError):
     """The complement of the region inside its cone is unbounded."""
 
@@ -27,10 +23,6 @@ class ConeMismatch(CoconvexError):
 
 class WrongArity(CoconvexError):
     """Number of arguments does not match the ambient dimension."""
-
-
-class NonpositiveScalar(CoconvexError):
-    """Scaling factor must be strictly positive."""
 
 
 class NotPrimary(CoconvexError):

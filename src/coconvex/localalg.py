@@ -136,9 +136,6 @@ class TermOrder:
     def key(self, exp):
         return (dot(self.ell, exp),) + tuple(dot(t, exp) for t in self.tiebreak)
 
-    def level(self, exp) -> int:
-        return dot(self.ell, exp)
-
 
 def term_order(ell, tiebreak=None) -> TermOrder:
     ell = tuple(int(x) for x in ell)
@@ -325,10 +322,6 @@ class MonomialIdealLocal:
     def n(self) -> int:
         return self.staircase.semigroup.dim
 
-    @property
-    def cone(self) -> RationalCone:
-        return self.staircase.semigroup.cone
-
 
 def monomial_ideal(exponents, cone: RationalCone = None) -> MonomialIdealLocal:
     exponents = [tuple(e) for e in exponents]
@@ -500,13 +493,10 @@ class MultiplicityReport:
     (`_reduction_multiplicity`) and uses this fit only as the fallback.
     """
 
-    n: int
-    kmax: int
     u_values: tuple
     hilbert_values: tuple
     e_upper: Fraction
     e_fit: Fraction | None
-    fit_stabilized: bool
 
 
 def _u_values(a: PolyLocalIdeal, kmax: int) -> tuple:
@@ -545,10 +535,8 @@ def multiplicity_report(a: PolyLocalIdeal, kmax: int,
     u_values = _u_values(a, kmax)
     hs = hilbert_samuel(a, kmax)
     e_fit = _fitted_multiplicity(a, fit_depth)
-    return MultiplicityReport(n=a.n, kmax=kmax, u_values=u_values,
-                              hilbert_values=tuple(hs),
-                              e_upper=min(u_values), e_fit=e_fit,
-                              fit_stabilized=e_fit is not None)
+    return MultiplicityReport(u_values=u_values, hilbert_values=tuple(hs),
+                              e_upper=min(u_values), e_fit=e_fit)
 
 
 def mixed_multiplicity(ideals) -> int:
@@ -644,9 +632,13 @@ class LechChain:
     holds: bool
 
 
-def lech_chain(a, kmax: int = 4) -> LechChain:
+# A polynomial ideal's Lech chain takes e_upper over u_k for k <= 4.
+_LECH_KMAX = 4
+
+
+def lech_chain(a) -> LechChain:
     """The chain for a monomial ideal, or for a polynomial ideal with
-    e_upper the least u_k over k <= kmax.  For a polynomial ideal, e(a)
+    e_upper the least u_k over k <= _LECH_KMAX.  For a polynomial ideal, e(a)
     comes from a reduction (`_reduction_multiplicity`), or else from the
     Hilbert-Samuel fit when it stabilises; `holds` then also checks
     e(a) <= e_in.  Both values are exact, so they give the same chain."""
@@ -655,7 +647,7 @@ def lech_chain(a, kmax: int = 4) -> LechChain:
         bound = math.factorial(a.n) * colength(a)
         return LechChain(e_upper=Fraction(e), e_in=e, bound=bound,
                          holds=e <= bound)
-    u_values = _u_values(a, kmax)
+    u_values = _u_values(a, _LECH_KMAX)
     e_in = _integral(u_values[0], "multiplicity")
     bound = math.factorial(a.n) * colength(a)
     e_upper = min(u_values)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneratePolytope, InvariantViolation
+from .errors import InvariantViolation
 from .cones import extreme_rays
 from .linalg import det, dot, exact_vector, nullspace, pivot_columns, primitive, vec_sub
 
@@ -41,9 +41,6 @@ class RationalPolytope:
     affine_dim: int
     vertices: tuple
     halfspaces: tuple
-
-    def contains(self, point) -> bool:
-        return all(dot(u, point) >= c for u, c in self.halfspaces)
 
 
 def _exact_points(points):
@@ -128,26 +125,24 @@ def _planar_hull(points, rays):
 
     With u1 perpendicular to r1, u1.r2 > 0, and u2 perpendicular to r2,
     u2.r1 > 0, the key p -> (u2.p, u1.p) maps the cone onto the orthant.
-    Andrew's monotone chain (1979) runs over the points sorted by key: it
-    skips a point whose second coordinate does not drop below the last kept
-    one and pops while the turn is not strictly counter-clockwise.  The
-    facets are u2 at the first chain vertex, each edge normal signed
-    positive on r1, and u1 at the last vertex, each normalised as the lifted
-    normal primitive(u, -u.v), as the double-description pass returns it.
+    Andrew's monotone chain (1979, `_chain`) runs over the sorted keys whose
+    second coordinate drops below that of every earlier key: a key that
+    does not drop lies in the region of an earlier one.  The facets are u2
+    at the first chain vertex, each edge normal signed positive on r1, and
+    u1 at the last vertex, each normalised as the lifted normal
+    primitive(u, -u.v), as the double-description pass returns it.
     Every input point equal to a chain vertex, duplicates included, is a
     vertex.
     """
     (a1, b1), (a2, b2) = rays
     s = 1 if a1 * b2 > b1 * a2 else -1
     u1, u2 = (-s * b1, s * a1), (s * b2, -s * a2)
-    chain = []
-    for key, v in sorted({(dot(u2, p), dot(u1, p)): tuple(p) for p in points}.items()):
-        if chain and key[1] >= chain[-1][0][1]:
-            continue
-        while len(chain) > 1 and _turn(chain[-2][0], chain[-1][0], key) <= 0:
-            chain.pop()
-        chain.append((key, v))
-    vs = [v for _, v in chain]
+    by_key = {(dot(u2, p), dot(u1, p)): tuple(p) for p in points}
+    keys = []
+    for key in sorted(by_key):
+        if not keys or key[1] < keys[-1][1]:
+            keys.append(key)
+    vs = [by_key[key] for key in _chain(keys)]
     kept = set(vs)
     normals = [u2]
     for v, w in zip(vs, vs[1:]):
@@ -165,6 +160,18 @@ def _turn(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
+def _chain(points):
+    """Andrew's monotone chain over plane points in the given order: each
+    point pops the last kept one while the turn is not strictly
+    counter-clockwise, then is kept."""
+    chain = []
+    for p in points:
+        while len(chain) > 1 and _turn(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def hull_volume(points) -> Fraction:
     """Exact volume of conv(points) for points in R^d, zero when it is flat.
 
@@ -178,15 +185,10 @@ def hull_volume(points) -> Fraction:
     if d == 1:
         return Fraction(pts[-1][0] - pts[0][0])
     if d > 2:
-        return polytope_volume(hull_vertices(pts), degenerate_ok=True)
-    twice = 0
-    for half in (pts, pts[::-1]):
-        chain = []
-        for p in half:
-            while len(chain) > 1 and _turn(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        twice += sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(chain, chain[1:]))
+        return polytope_volume(hull_vertices(pts))
+    chains = _chain(pts), _chain(pts[::-1])
+    twice = sum(x0 * y1 - x1 * y0 for chain in chains
+                for (x0, y0), (x1, y1) in zip(chain, chain[1:]))
     return Fraction(twice) / 2
 
 
@@ -247,12 +249,10 @@ def triangulate_points(points):
     return [tuple(backmap[v] for v in simplex) for simplex in triangulate(sub)]
 
 
-def polytope_volume(poly: RationalPolytope, degenerate_ok: bool = False) -> Fraction:
-    """Exact Euclidean volume by determinant sums over the triangulation."""
+def polytope_volume(poly: RationalPolytope) -> Fraction:
+    """Exact Euclidean volume by determinant sums over the triangulation;
+    a flat polytope measures 0."""
     if poly.affine_dim < poly.dim:
-        if degenerate_ok:
-            return Fraction(0)
-        raise DegeneratePolytope(
-            f"polytope has affine dimension {poly.affine_dim} < {poly.dim}")
+        return Fraction(0)
     total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]])) for s in triangulate(poly))
     return Fraction(total) / math.factorial(poly.dim)

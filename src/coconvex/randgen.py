@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import RationalCone, dual_description, orthant
+from .cones import orthant
 from .localalg import MonomialIdealLocal, monomial_ideal
 
 MASK64 = (1 << 64) - 1
@@ -52,22 +52,16 @@ class InstanceSpec:
     dimension: int
     seed: int
     exponent_bound: int = 6
-    min_generators: int = 2
-    max_generators: int = 5
-    cone_rays: tuple | None = None  # None means the standard orthant
-
-    def cone(self) -> RationalCone:
-        if self.cone_rays is None:
-            return orthant(self.dimension)
-        return dual_description(self.cone_rays)
 
 
 def random_monomial_ideal(spec: InstanceSpec,
                           rng: XorShift64Star = None) -> MonomialIdealLocal:
-    """Random m-primary monomial ideal, deterministic per seed.
+    """Random m-primary monomial ideal in the orthant, deterministic per seed.
 
-    A pure power of each variable (a multiple of each extreme ray for a
-    custom cone) is always included, so the staircase complement is finite.
+    The draws, in order: a pure power x_i^p, 1 <= p <= bound, for each ray
+    of `orthant(n)` in its order, so the staircase complement is finite;
+    then a count in [2, 5]; then that many nonzero exponents, each
+    coordinate in [0, bound], redrawn while zero.
     """
     if rng is None:
         rng = XorShift64Star(spec.seed)
@@ -75,20 +69,14 @@ def random_monomial_ideal(spec: InstanceSpec,
     bound = spec.exponent_bound
     if n < 1 or bound < 1:
         raise ValueError("dimension and exponent bound must be >= 1")
-    cone = spec.cone()
+    cone = orthant(n)
     gens = []
     for ray in cone.rays:
         power = rng.randint(1, bound)
         gens.append(tuple(power * x for x in ray))
-    count = rng.randint(spec.min_generators, spec.max_generators)
-    for _ in range(count):
+    for _ in range(rng.randint(2, 5)):
         while True:
-            if spec.cone_rays is None:
-                pt = tuple(rng.randint(0, bound) for _ in range(n))
-            else:
-                coeffs = [rng.randint(0, bound) for _ in cone.rays]
-                pt = tuple(sum(c * r[i] for c, r in zip(coeffs, cone.rays))
-                           for i in range(n))
+            pt = tuple(rng.randint(0, bound) for _ in range(n))
             if any(x != 0 for x in pt):
                 gens.append(pt)
                 break

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, is_positive_on_cone
-from .errors import ConeMismatch, NonpositiveScalar, NotCobounded, WrongArity
+from .errors import ConeMismatch, NotCobounded, WrongArity
 from .linalg import det, dot, exact_vector, primitive
 from .polytopes import homogenized_hull, hull_volume, pull_simplices
 
@@ -128,14 +128,6 @@ def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> NewtonRegion:
     sums = {tuple(a + b for a, b in zip(g1, g2))
             for g1 in r1.generators for g2 in r2.generators}
     return newton_region(r1.cone, sums, r1.ell)
-
-
-def scale(region: NewtonRegion, lam) -> NewtonRegion:
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise NonpositiveScalar(f"scaling factor {lam} must be positive")
-    gens = [tuple(lam * x for x in g) for g in region.generators]
-    return newton_region(region.cone, gens, region.ell)
 
 
 def cone_region(cone: RationalCone, ell) -> NewtonRegion:

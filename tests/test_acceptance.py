@@ -21,7 +21,7 @@ from coconvex.localalg import (colength, initial_semigroup_ideal, lech_chain,
 from coconvex.radicals import compare_root_sum
 from coconvex.randgen import InstanceSpec, XorShift64Star, random_monomial_ideal
 from coconvex.regions import (cone_region, covol, minkowski_sum, mixed_covol,
-                              newton_region, scale)
+                              newton_region)
 from coconvex.semigroups import (complement_count, ideal_power,
                                  lattice_semigroup, semigroup_ideal,
                                  staircase_region)
@@ -31,6 +31,12 @@ from coconvex.suites import (suite_af_covol, suite_bm_covol, suite_bm_mult,
 X = monomial(2, (1, 0))
 Y2 = monomial(2, (0, 2))
 Y3 = monomial(2, (0, 3))
+
+
+def scale(region, lam):
+    """lam * region, built by `newton_region`."""
+    return newton_region(region.cone, [[lam * x for x in g] for g in region.generators],
+                         region.ell)
 
 
 def _shoelace(polygon):

@@ -103,23 +103,23 @@ NEWTON_DIGESTS = {
     ("orthant2", "json"):
         "5229cce1185ef35569d16648f68fd61597ddd91391b8e6f71ee8c81debc4177c",
     ("orthant2", "table"):
-        "9862bdccf5116a1bc0247492714130e9c1b7eb90a9cb2043d8956ab6757fb489",
+        "45473fc2fd177a06095fe720da8a6b1d35fd33605896f4554857b1a78b8b7d58",
     ("orthant3", "json"):
         "521ea46e7a895ba063a50016aeb49e656c44978117c87c715f229d00df5c28a3",
     ("orthant3", "table"):
-        "d0be488b10e46e86f2f7e44fdf92232a87e5bb3c76e5197a1d3175bbb8b2b81c",
+        "ffa790b1a2a9f53d3cf681b5c78eb8d48876e6a29cbc5ace05c0f50e2a41b118",
     ("skew", "json"):
         "2d54931a6125440c14d7003e6104e6a28146eb6cf5ec30a82a77c99eda4259ec",
     ("skew", "table"):
-        "2a33e946f648715709356ad34eb7431d193011ddaa82152e71ccb256ed6e46e6",
+        "b5c5b934ea371a8ddd5c7811b892fd7e7a7e9fb03b0ef43b82e6675694c09c0d",
     ("four-ray", "json"):
         "371660571f5b1e52197052f422bba0f29c47a5af9e42c0befedd775b56d736b4",
     ("four-ray", "table"):
-        "50586994d4c5160747e5ee4990a004b2e858876e361c0c561d973742e87bb4c2",
+        "ae0f9d5a73ef3d2cf2b02ab588db3a3c234e3c9e80795f95a5af852aacd58fb0",
     ("fractional", "json"):
         "9123f1536155c31df6795df5a2c02e78d139a1360ba45f647b7827449b2af86b",
     ("fractional", "table"):
-        "1c2403bdad6181875cbaee38ad4f0596b4e97258e13a0d3099a2872fbb86c453",
+        "d52f17e8be7b6b394bf2e73ef260d9d33e02563b1a96576da8e94596e5472a00",
 }
 
 
@@ -134,6 +134,36 @@ def test_newton_command(tmp_path, capsys):
         code, out, err = run(capsys, ["newton", "--input", path, "--format", fmt])
         assert (code, err) == (0, ""), name
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, fmt)
+
+
+def test_newton_table_rows_read_back(tmp_path, capsys):
+    """In a 3-D `newton` table each vertex is one "[x, y, z]" row and each
+    face of the diagram opens with "- - ", so the generator and diagram rows
+    read back as the vertices of the JSON output, face by face."""
+    path = write(tmp_path, "o3.json", NEWTON_INPUTS["orthant3"])
+    payload = json.loads(run(capsys, ["newton", "--input", path])[1])
+    code, out, _ = run(capsys, ["newton", "--input", path, "--format", "table"])
+    assert code == 0
+    lines = out.splitlines()
+
+    def vertex(row):
+        return tuple(map(Fraction, row.strip("[]").split(", ")))
+
+    start = lines.index("  generators:") + 1
+    rows = lines[start:start + 5]
+    assert all(line.startswith("    - [") for line in rows), rows
+    assert lines[start + 5].startswith("  ell ")
+    assert [vertex(line[6:]) for line in rows] == \
+        [tuple(map(Fraction, g)) for g in payload["region"]["generators"]]
+    faces = []
+    for line in lines[lines.index("diagram:") + 1:]:
+        if line.startswith("  - - "):
+            faces.append([])
+        assert line[:6] in ("  - - ", "    - "), line
+        faces[-1].append(vertex(line[6:]))
+    assert faces == [[tuple(map(Fraction, v)) for v in face]
+                     for face in payload["diagram"]]
+    assert sorted(map(len, faces)) == [3, 4]
 
 
 def test_mixed_and_bk(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_semigroup_ideal_round_trip():
 def test_monomial_ideal_round_trip():
     ideal = monomial_ideal([(2, 0), (0, 2), (1, 1)])
     back = monomial_ideal_from_json({"dim": 2, "generators": [[2, 0], [0, 2], [1, 1]]})
-    assert back.cone == orthant(2)  # implied without cone_rays
+    assert back.staircase.semigroup.cone == orthant(2)  # implied without cone_rays
     assert back.staircase.min_generators == ideal.staircase.min_generators
 
 

@@ -6,8 +6,8 @@ import io
 import json
 
 from coconvex.cli import main
-from coconvex.cones import dual_description
-from coconvex.localalg import multiplicity, product_ideal
+from coconvex.cones import orthant
+from coconvex.localalg import monomial_ideal, multiplicity, product_ideal
 from coconvex.radicals import compare_root_sum
 from coconvex.randgen import InstanceSpec, XorShift64Star, random_monomial_ideal
 from coconvex.semigroups import complement_count
@@ -53,19 +53,28 @@ def test_random_ideal_always_primary():
 
 
 def test_random_ideal_generator_count_range():
-    spec = InstanceSpec(dimension=2, seed=5, exponent_bound=9,
-                        min_generators=3, max_generators=6)
-    a = random_monomial_ideal(spec)
-    # pruning can only shrink: pure powers (2) + draws (3..6)
-    assert 2 <= len(a.staircase.min_generators) <= 8
-
-
-def test_random_ideal_custom_cone():
-    spec = InstanceSpec(dimension=2, seed=7, exponent_bound=3,
-                        cone_rays=((1, 0), (1, 2)))
-    a = random_monomial_ideal(spec)
-    assert a.cone == dual_description([(1, 0), (1, 2)])
-    assert complement_count(a.staircase) >= 0
+    """The documented draws: a pure power per ray of `orthant(n)` in its
+    order, a count in [2, 5], then that many nonzero exponents in the box,
+    each redrawn while zero.  Every count occurs."""
+    counts = set()
+    for n in (1, 2, 3, 4):
+        for seed in range(25):
+            rng = XorShift64Star(seed)
+            powers = [rng.randint(1, 5) for _ in range(n)]
+            gens = [tuple(p * x for x in ray) for p, ray in zip(powers, orthant(n).rays)]
+            count = rng.randint(2, 5)
+            counts.add(count)
+            while len(gens) < n + count:
+                pt = tuple(rng.randint(0, 5) for _ in range(n))
+                if any(pt):
+                    gens.append(pt)
+            drawn = random_monomial_ideal(InstanceSpec(dimension=n, seed=seed,
+                                                       exponent_bound=5))
+            assert drawn.staircase == monomial_ideal(gens).staircase, (n, seed)
+    assert counts == {2, 3, 4, 5}
+    spec = InstanceSpec(dimension=2, seed=2024, exponent_bound=9)
+    assert random_monomial_ideal(spec).staircase.min_generators == \
+        ((0, 7), (3, 6), (8, 0))
 
 
 def test_suites_pass_and_are_deterministic():
@@ -170,15 +179,15 @@ def test_verify_reports_pinned():
 # the sorted canonical bytes above cannot see.
 VERIFY_TABLE_DIGESTS = {
     "bm-covol":
-        "45893f1ce9ea871c9a0d61bd735e3efab08961b840c9e8684fc8dd5197cc8509",
+        "2edfb6ef06cbd867b34985890bd087aa7da0af674b1a26b50774c65309d4e1da",
     "af-covol":
-        "aa2a8b2da531fb6b80a209b41d1e67c87c3a77759a4b8145f23f85d32eb13297",
+        "eb00be0ece5ccb46ca29bfb3d4ab02f553f533cf1845380af3194a8982605088",
     "bm-mult":
-        "cdbf388d54d6f83d682a52a161914a041a7c9c97a2de8b2531e90509770f23ac",
+        "825475e22e177639669a28b8466581f3cc0c571dff771c19f2bb09d25e11d52f",
     "lech":
-        "ad8b3c5b19b24778ca2e6a3a80d76e9f6c611d14e00bfdefdebd7acfaf17a3e6",
+        "897fa285de4b876e5c87a961461eae8e9f24e12ad44ef01ed66eb7ecf475c445",
     "polynomiality":
-        "1b2b4f5b75d86f7d64a851b4f2111eb48b5d3987b60d1cfb4c91485ec27e43dd",
+        "eb04486c9560aafc11cb34716b702cc1fbb816d97ad036539a0d277a4f2723b5",
 }
 
 
