@@ -19,7 +19,8 @@ all the degree-d monomials exactly when m^d lies in the ideal modulo
 m^(d+1), hence in the ideal (Nakayama); the least such d is m0, and a^k is
 cut at k * m0 * max(ell).  Everything upstream
 (colength, multiplicity, Lech chain) reduces to staircase counting and
-covolume.
+covolume; in the plane e(in(a^k)) is twice the area below the monotone
+chain of those exponents (`polytopes.staircase_chain`), with no staircase.
 
 The Lech chain e(a) <= e(in(a)) <= n! colength(a) reads e(a) off a
 reduction: n combinations J of the generators with J a^r = a^(r+1),
@@ -42,6 +43,7 @@ from .cones import RationalCone, orthant
 from .errors import (InvariantViolation, MonotonicityViolation,
                      NotPrimaryWithinCap, ZeroPolynomial)
 from .linalg import _exact, dot, rank, scale_to_int
+from .polytopes import staircase_chain
 from .regions import covol, mixed_covol
 from .semigroups import (SemigroupIdealSet, _prune_to_antichain,
                          complement_count, ideal_power, lattice_semigroup,
@@ -349,6 +351,15 @@ class PolyLocalIdeal:
     def n(self) -> int:
         return self.order.n
 
+    # The power caches look an ideal up by its hash: compute the dataclass
+    # hash, which walks every generator term, once per ideal.
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.generators, self.order, self.m0))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
     """Smallest d <= cap with every degree-d monomial in the span cut at d + 1.
@@ -373,7 +384,7 @@ def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
         pivots = truncated_echelon(gens, degree_order, d + 1)
         if sum(sum(e) == d for e in pivots) == math.comb(d + n - 1, n - 1):
             return d
-    raise NotPrimaryWithinCap(f"no power of m below {cap} lies in the ideal")
+    raise NotPrimaryWithinCap(f"no power m^d with d <= {cap} lies in the ideal")
 
 
 def poly_local_ideal(gens, order: TermOrder = None, cap: int = 24) -> PolyLocalIdeal:
@@ -419,25 +430,31 @@ def _initial_pivots(a: PolyLocalIdeal, k: int):
     return pivots, d0
 
 
-def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
-    """Staircase of in(a^k): echelon pivots below D0, everything above it.
+def _initial_points(a: PolyLocalIdeal, k: int) -> frozenset:
+    """Exponents that generate in(a^k): the echelon pivots below D0 and the
+    band of max(ell) levels above it.
 
     Above D0 = k * m0 * max(ell) every exponent has total degree >= k*m0,
-    so the corresponding monomial already lies in a^k.  The table's
-    exponents are orthant points by construction, so go to the prune as
-    they are; the band of max(ell) levels above D0 holds each pure power.
+    so the corresponding monomial already lies in a^k; the band holds each
+    pure power.
     """
+    pivots, d0 = _initial_pivots(a, k)
+    table = _monomial_table(a.order)
+    return pivots.union(table.exps[table.width(d0):
+                                   table.width(d0 + max(a.order.ell))])
+
+
+def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
+    """Staircase of in(a^k), pruned from `_initial_points`.  The table's
+    exponents are orthant points by construction, so go to the prune as
+    they are."""
     if k < 1:
         raise ValueError("power must be >= 1")
     if isinstance(a, MonomialIdealLocal):
         return ideal_power(a.staircase, k)
-    pivots, d0 = _initial_pivots(a, k)
-    ell = a.order.ell
-    table = _monomial_table(a.order)
-    band = table.exps[table.width(d0):table.width(d0 + max(ell))]
     cone = orthant(a.n)
-    return SemigroupIdealSet(lattice_semigroup(cone, ell),
-                             _prune_to_antichain(cone, pivots.union(band)))
+    return SemigroupIdealSet(lattice_semigroup(cone, a.order.ell),
+                             _prune_to_antichain(cone, _initial_points(a, k)))
 
 
 def colength(a) -> int:
@@ -472,6 +489,15 @@ def _staircase_multiplicity(staircase: SemigroupIdealSet) -> int:
                      "multiplicity")
 
 
+def _plane_multiplicity(points) -> int:
+    """2 * covol(conv(points) + R^2_+) for points on both axes: the origin
+    pyramids x1*y0 - x0*y1 over the edges of `staircase_chain`, as `covol`
+    sums them."""
+    chain = staircase_chain(points)
+    return sum(x1 * y0 - x0 * y1
+               for (x0, y0), (x1, y1) in zip(chain, chain[1:]))
+
+
 def multiplicity(a: MonomialIdealLocal) -> int:
     """e(a) = n! * covolume of the Newton region of the staircase."""
     return _staircase_multiplicity(a.staircase)
@@ -501,13 +527,16 @@ class MultiplicityReport:
 
 def _u_values(a: PolyLocalIdeal, kmax: int) -> tuple:
     """u_k = e(in(a^k)) / k^n for k = 1..kmax, each checked against the
-    values at its divisors (see `MultiplicityReport`)."""
+    values at its divisors (see `MultiplicityReport`).  In the plane
+    e(in(a^k)) comes straight from `_initial_points`, with no staircase or
+    Newton region: the weights ell do not enter the covolume."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     n = a.n
     u_values = []
     for k in range(1, kmax + 1):
-        e_in = _staircase_multiplicity(initial_semigroup_ideal(a, k))
+        e_in = (_plane_multiplicity(_initial_points(a, k)) if n == 2 else
+                _staircase_multiplicity(initial_semigroup_ideal(a, k)))
         u = Fraction(e_in, k ** n)
         for j in range(1, k):
             if k % j == 0 and u > u_values[j - 1]:

@@ -5,7 +5,8 @@ dimension up and running the double-description pass from `cones`, except
 for a plane region conv(points) + cone(r1, r2) over two independent rays
 (every Newton region in dimension 2): its facets and vertices come from
 Andrew's monotone chain in the coordinates that map the cone onto the
-orthant.
+orthant (`staircase_chain`, which also gives `localalg` its plane
+multiplicities).
 A lower-dimensional point set gets coordinates in one way only: it is
 projected onto the pivot coordinates of its affine span
 (`linalg.pivot_columns`), where the projection is injective, handled
@@ -124,13 +125,11 @@ def _planar_hull(points, rays):
     """`homogenized_hull` in R^2 over two independent rays r1, r2.
 
     With u1 perpendicular to r1, u1.r2 > 0, and u2 perpendicular to r2,
-    u2.r1 > 0, the key p -> (u2.p, u1.p) maps the cone onto the orthant.
-    Andrew's monotone chain (1979, `_chain`) runs over the sorted keys whose
-    second coordinate drops below that of every earlier key: a key that
-    does not drop lies in the region of an earlier one.  The facets are u2
-    at the first chain vertex, each edge normal signed positive on r1, and
-    u1 at the last vertex, each normalised as the lifted normal
-    primitive(u, -u.v), as the double-description pass returns it.
+    u2.r1 > 0, the key p -> (u2.p, u1.p) maps the cone onto the orthant,
+    where `staircase_chain` runs over the keys.  The facets are u2 at the
+    first chain vertex, each edge normal signed positive on r1, and u1 at
+    the last vertex, each normalised as the lifted normal primitive(u,
+    -u.v), as the double-description pass returns it.
     Every input point equal to a chain vertex, duplicates included, is a
     vertex.
     """
@@ -138,11 +137,7 @@ def _planar_hull(points, rays):
     s = 1 if a1 * b2 > b1 * a2 else -1
     u1, u2 = (-s * b1, s * a1), (s * b2, -s * a2)
     by_key = {(dot(u2, p), dot(u1, p)): tuple(p) for p in points}
-    keys = []
-    for key in sorted(by_key):
-        if not keys or key[1] < keys[-1][1]:
-            keys.append(key)
-    vs = [by_key[key] for key in _chain(keys)]
+    vs = [by_key[key] for key in staircase_chain(by_key)]
     kept = set(vs)
     normals = [u2]
     for v, w in zip(vs, vs[1:]):
@@ -152,6 +147,20 @@ def _planar_hull(points, rays):
     facets = [primitive(u + (-dot(u, v),)) for u, v in zip(normals, vs[:1] + vs)]
     halfspaces = tuple(sorted((f[:2], -f[2]) for f in facets))
     return halfspaces, tuple(p for p in points if tuple(p) in kept)
+
+
+def staircase_chain(points):
+    """Vertices of conv(points) + R^2_+, left to right.
+
+    Andrew's monotone chain (1979, `_chain`) runs over the sorted points
+    whose second coordinate drops below that of every earlier point: a
+    point that does not drop lies in the region of an earlier one.
+    """
+    kept = []
+    for p in sorted(points):
+        if not kept or p[1] < kept[-1][1]:
+            kept.append(p)
+    return _chain(kept)
 
 
 def _turn(a, b, c):

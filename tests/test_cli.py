@@ -247,6 +247,66 @@ def test_initial_ideal_command(tmp_path, capsys):
     assert json.loads(out)["min_generators"] == [[0, 3], [1, 0]]
 
 
+def test_not_primary_within_cap_exit_2(tmp_path, capsys):
+    """(x, x) contains no power of m; m^24 itself is the last one tried."""
+    x = {"terms": [{"coeff": "1", "exp": [1, 0]}]}
+    path = write(tmp_path, "xx.json", {"dim": 2, "generators": [x, x]})
+    code, out, err = run(capsys, ["lech", "--input", path])
+    assert (code, out) == (2, "")
+    assert "NotPrimaryWithinCap: no power m^d with d <= 24 lies in the ideal" in err
+
+
+def _poly(*terms):
+    return {"terms": [{"coeff": c, "exp": list(e)} for c, e in terms]}
+
+
+# Polynomial ideals for `lech` and `multiplicity`: two generators led by
+# y^2 with a same-degree tail, the order (2, 1), a tiebreak row, and one
+# variable.
+POLY_INPUTS = {
+    "shared-lead": {"dim": 2, "generators": [
+        _poly(("1", (3, 0))), _poly(("1", (0, 2))),
+        _poly(("1", (0, 2)), ("3/2", (1, 1)))]},
+    "weighted": {"dim": 2, "order": {"ell": [2, 1]}, "generators": [
+        _poly(("1", (1, 0)), ("1", (0, 2))), _poly(("1", (0, 3)))]},
+    "tiebreak": {"dim": 2, "order": {"ell": [1, 1], "tiebreak": [[0, 1]]},
+                 "generators": [_poly(("2", (2, 0)), ("-1/3", (1, 2))),
+                                _poly(("1", (0, 2)), ("5", (3, 0)))]},
+    "one-variable": {"dim": 1, "generators": [_poly(("1", (2,)), ("-4", (3,)))]},
+}
+
+# SHA-256 of each command's stdout on each POLY_INPUTS entry.
+POLY_DIGESTS = {
+    ("shared-lead", "lech"):
+        "e74f5b756244b29abf97c291cf870119ceba501ef2df38bb3bb0a3ea90de7fef",
+    ("shared-lead", "multiplicity"):
+        "7c19cd3f1f058fe4c2a63f6630ac55ca2a5faee9145af38903e09f93f0ae3b6f",
+    ("weighted", "lech"):
+        "06a92da9b751e0f1c9270d641ee645a7b529e30737fa01174bab8093edf3a2fe",
+    ("weighted", "multiplicity"):
+        "65f7f96bc054b8422948a006b2cfb10ff5fe35d5576c67a8c4d253ff2c6507fe",
+    ("tiebreak", "lech"):
+        "41a1f48daec3c80c598bfcfd44c763e73369e61f8a6bcefb0d85f19929a27cc4",
+    ("tiebreak", "multiplicity"):
+        "18d13591f7df436edea7d10415baa601292500f1f1135df434ded6b2bdf47b52",
+    ("one-variable", "lech"):
+        "65812d49421b77afe955551a541b28659c59bdcfd49a99390b8d6969e92cae5f",
+    ("one-variable", "multiplicity"):
+        "3e01735057b3ecea00b9ae9ccf0f618e8a09253b7281fe6311bae21f375b9a29",
+}
+
+
+def test_lech_and_multiplicity_outputs_pinned(tmp_path, capsys):
+    for (name, command), digest in POLY_DIGESTS.items():
+        path = write(tmp_path, f"{name}.json", POLY_INPUTS[name])
+        argv = [command, "--input", path]
+        if command == "multiplicity":
+            argv += ["--kmax", "4"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), (name, command)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command)
+
+
 def test_lech_command(tmp_path, capsys):
     path = write(tmp_path, "a.json", POLY_A)
     code, out, _ = run(capsys, ["lech", "--input", path])

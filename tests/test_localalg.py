@@ -3,6 +3,7 @@
 import functools
 import heapq
 import itertools
+import json
 import math
 import operator
 import random
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from coconvex import localalg
 from coconvex.cones import orthant
 from coconvex.errors import MonotonicityViolation, NotPrimaryWithinCap, ZeroPolynomial
+from coconvex.jsonio import poly_ideal_from_json
 from coconvex.linalg import dot
 from coconvex.localalg import (Poly, colength, colength_of_power, bk_report,
                                hilbert_samuel, initial_semigroup_ideal, lech_chain,
@@ -31,6 +33,7 @@ from coconvex.localalg import (_MonomialTable, _clear_denominators,
 from coconvex.radicals import compare_root_sum
 from coconvex.regions import minkowski_sum
 from coconvex.suites import _lech_poly_corpus
+from test_fitting import _bench_workloads
 from test_linalg import reference_echelon
 
 ORD2 = standard_order(2)
@@ -116,7 +119,8 @@ def test_mprimary_exponent_examples():
     assert mprimary_exponent([X, Y], ORD2) == 1
     assert mprimary_exponent([X2, Y2], ORD2) == 3
     assert mprimary_exponent([X + Y2, Y3], ORD2) == 3
-    with pytest.raises(NotPrimaryWithinCap):
+    with pytest.raises(NotPrimaryWithinCap,
+                       match=r"no power m\^d with d <= 6 lies in the ideal"):
         mprimary_exponent([X], ORD2, cap=6)
     with pytest.raises(ValueError):
         mprimary_exponent([X + monomial(2, (0, 0))], ORD2)
@@ -282,8 +286,8 @@ def test_multiplicity_report_u_sequence_may_rise():
 def test_multiplicity_report_checks_divisors(monkeypatch):
     """u_3 > u_2 is allowed, but u_4 > u_2 breaks the divisor bound."""
     e_in = iter([9, 7 * 4, 8 * 9, Fraction(15, 2) * 16])
-    monkeypatch.setattr(localalg, "_staircase_multiplicity",
-                        lambda staircase: next(e_in))
+    monkeypatch.setattr(localalg, "_plane_multiplicity",
+                        lambda points: next(e_in))
     with pytest.raises(MonotonicityViolation, match="divisor 2"):
         multiplicity_report(poly_local_ideal([X + Y2, Y3]), 4)
 
@@ -916,6 +920,33 @@ def test_trusted_staircase_matches_validated_path():
         for k in range(1, 5):
             assert initial_semigroup_ideal(a, k) == validated_staircase(a, k), \
                 (a.generators, a.order.ell, k)
+
+
+# polynomial-lech indices per seed in the plane differential test; the
+# shared-lead shape is every third, so each seed covers all shapes.
+PLANE_LECH_INDICES = 96
+
+
+def test_plane_multiplicity_matches_region_path(tmp_path):
+    """e(in(a^k)) off the monotone chain of the pivots and band against
+    2 covol of the Newton region of the pruned staircase, k <= 4, under
+    weighted and tiebreak orders and on polynomial-lech seeds 1-5 and 977."""
+    ideals = reduction_corpus()
+    for ell, tiebreak in (((2, 1), None), ((1, 3), None), ((3, 2), None),
+                          ((1, 1), [(0, 1)])):
+        ideals += [poly_local_ideal(gens, term_order(ell, tiebreak))
+                   for gens in far_power_corpus(random.Random(17))]
+    workload = _bench_workloads()["polynomial-lech"]
+    for seed in (1, 2, 3, 4, 5, 977):
+        for index in range(PLANE_LECH_INDICES):
+            path = workload.make(seed, index, str(tmp_path))[-1]
+            with open(path, encoding="utf-8") as fh:
+                ideals.append(poly_ideal_from_json(json.load(fh)))
+    for a in ideals:
+        for k in range(1, 5):
+            assert localalg._plane_multiplicity(localalg._initial_points(a, k)) \
+                == localalg._staircase_multiplicity(initial_semigroup_ideal(a, k)), \
+                (a.generators, a.order, k)
 
 
 def test_reduction_certificate_rows_are_integers(monkeypatch):
