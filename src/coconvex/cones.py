@@ -8,7 +8,8 @@ of a pointed cone in either direction, since facets of a cone are the
 extreme rays of its dual.
 `dual_description` runs it on the rays projected onto the pivot
 coordinates of their span, so one pass decides both strong convexity and
-full dimension.
+full dimension.  A plane cone needs no pass: its rays are its two extreme
+generators and its facets their perpendiculars.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def dual_description(rays) -> RationalCone:
     the facets of the projected cone have rank below the span's dimension d:
     then NotStronglyConvex is raised.  Otherwise NotFullDimensional is raised
     if d < n.  When d = n the projection is the identity and its facets are
-    the cone's.
+    the cone's.  Plane cones are built by `_plane_cone`, with the same
+    errors in the same order.
     """
     rays = [primitive(r) for r in rays]
     rays = [r for r in rays if any(x != 0 for x in r)]
@@ -117,17 +119,53 @@ def dual_description(rays) -> RationalCone:
     n = len(rays[0])
     if any(len(r) != n for r in rays):
         raise ValueError("rays of mixed dimension")
-    cols = pivot_columns(rays)
-    facets = extreme_rays([tuple(r[j] for j in cols) for r in rays], len(cols))
-    if rank(facets) < len(cols):
-        raise NotStronglyConvex("cone contains a line")
-    if len(cols) < n:
-        raise NotFullDimensional("rays span a proper subspace")
-    canon = extreme_rays(facets, n)
-    cone = RationalCone(dim=n, rays=tuple(canon), facets=tuple(sorted(facets)))
+    if n == 2:
+        cone = _plane_cone(rays)
+    else:
+        cols = pivot_columns(rays)
+        facets = extreme_rays([tuple(r[j] for j in cols) for r in rays], len(cols))
+        if rank(facets) < len(cols):
+            raise NotStronglyConvex("cone contains a line")
+        if len(cols) < n:
+            raise NotFullDimensional("rays span a proper subspace")
+        canon = extreme_rays(facets, n)
+        cone = RationalCone(dim=n, rays=tuple(canon), facets=tuple(sorted(facets)))
     if not all(cone.contains(r) for r in rays):
         raise InvariantViolation("the facets cut off an input ray")
     return cone
+
+
+def _plane_cone(rays) -> RationalCone:
+    """The cone generated by nonzero primitive vectors of the plane.
+
+    With cross(a, b) = a_1 b_2 - a_2 b_1, one sweep keeps u, replaced by
+    any ray clockwise of it (cross(u, r) < 0), and v, replaced by any ray
+    counterclockwise of it.  When the rays lie in an angle below pi, u and
+    v are its edges, and every ray r has cross(u, r) >= 0 >= cross(v, r),
+    so a ray failing that test means a line.  When all pass and
+    cross(u, v) > 0, each ray is a nonnegative combination of u and v:
+    they are the extreme rays, and (-u_2, u_1) and (v_2, -v_1) the inner
+    facet normals.  When all pass and cross(u, v) = 0, v is u or -u: the
+    cone is the ray of u when every ray is u (a proper span), and
+    otherwise -u is among the rays, so the cone holds a line.
+    """
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    u = v = rays[0]
+    for r in rays:
+        if cross(u, r) < 0:
+            u = r
+        if cross(v, r) > 0:
+            v = r
+    if any(cross(u, r) < 0 or cross(v, r) > 0 for r in rays):
+        raise NotStronglyConvex("cone contains a line")
+    if cross(u, v) == 0:
+        if any(r != u for r in rays):
+            raise NotStronglyConvex("cone contains a line")
+        raise NotFullDimensional("rays span a proper subspace")
+    return RationalCone(dim=2, rays=tuple(sorted((u, v))),
+                        facets=tuple(sorted(((-u[1], u[0]), (v[1], -v[0])))))
 
 
 def orthant(n: int) -> RationalCone:

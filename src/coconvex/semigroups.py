@@ -2,16 +2,21 @@
 
 A semigroup ideal is stored by its antichain of minimal generators.
 Every antichain (generators, sums and powers of ideals, the Hilbert
-basis) comes from one prune: candidates are swept in lexicographic order
-of their facet values, so each is compared only with the points already
-kept, and with at most three facets that comparison is one query on a
-staircase of the kept points.  The Hilbert-Samuel function counts the
-finite complement S \\ I_k.  Every count splits the cone into
-simplicial pieces and each piece into the |det| cosets of the lattice
-spanned by its rays, one lattice point b of the half-open fundamental
-parallelepiped each.  On a simplicial cone the ideal above b is an
-orthant staircase in ray coordinates, counted in closed form in the plane
-and by slices grown along the last coordinate above it, with no prune.  On
+basis) comes from one prune, handed the point sets whose sums it prunes:
+candidates are swept in lexicographic order, so each is compared only
+with the points already kept.  On the standard orthant each point is
+packed into one int, so a sum of points is one integer addition and the
+order an integer sort, and the sweep is a running minimum in the plane
+and one query on a staircase of the kept points in 3-D.  On other cones
+the candidates are ordered by their facet values, and with at most three
+facets the comparison is the same staircase query.  The Hilbert-Samuel
+function counts the finite complement S \\ I_k.  Every count splits the
+cone into simplicial pieces and each piece into the |det| cosets of the
+lattice spanned by its rays, one lattice point b of the half-open
+fundamental parallelepiped each.  On a simplicial cone the ideal above b
+is an orthant staircase in ray coordinates, counted in closed form in the
+plane, in 3-D by one plane staircase and its area grown point by point as
+the last coordinate rises, and by slices above that, with no prune.  On
 any cone a complement point sits below the least generator multiple of
 each ray in some piece, so the complement is read off those coset boxes.
 The same coset points are the Hilbert basis candidates.
@@ -71,23 +76,89 @@ class SemigroupIdealSet:
         return any(cone.contains(vec_sub(x, g)) for g in self.min_generators)
 
 
-def _prune_to_antichain(cone: RationalCone, points) -> tuple:
-    """Minimal elements of `points` under q <= p iff p - q lies in the cone.
+def _prune_to_antichain(cone: RationalCone, *summands) -> tuple:
+    """Minimal elements of the sums p_1 + ... + p_m, one p_j from each of
+    the m `summands` (the points themselves when m = 1), under q <= p iff
+    p - q lies in the cone.  Returned lexicographically sorted.
 
-    Each point is mapped once to its facet values F p; p - q is in the cone
-    exactly when F p >= F q componentwise.  On the standard orthant F p is
-    a permutation of p, so p itself serves.  Returned lexicographically
-    sorted.
+    On the standard orthant each point is packed into one int: coordinate
+    i in the i-th field of w bits from the top, where w is one bit more
+    than the largest coordinate sum needs.  No field then carries into the
+    next, so sums of points are sums of ints and the lexicographic order is
+    the order of the ints, and the sweep reads the coordinates back with
+    shifts and masks.  On any other cone each point is mapped once to its
+    facet values F p; p - q is in the cone exactly when F p >= F q
+    componentwise.
     """
+    if not all(summands):
+        return ()
     if _is_standard_orthant(cone):
-        return _minima([(p, p) for p in sorted(set(points))], cone.dim)
+        n = cone.dim
+        columns = [list(zip(*points)) for points in summands]
+        w = sum(max(map(max, c)) for c in columns).bit_length() + 1
+        sums = (0,)
+        for packed, *rest in columns:
+            for column in rest:
+                packed = map(operator.or_,
+                             map(operator.lshift, packed, itertools.repeat(w)), column)
+            sums = {s + q for q in packed for s in sums}
+        kept = _packed_minima(sorted(sums), n, w)
+        mask = (1 << w) - 1
+        return tuple(zip(*[[v >> s & mask for v in kept]
+                           for s in range(w * (n - 1), -1, -w)]))
+    points = set(summands[0])
+    for more in summands[1:]:
+        points = {tuple(map(operator.add, p, q)) for p in points for q in more}
     facets = cone.facets
-    return _minima(sorted((tuple(dot(f, p) for f in facets), p)
-                          for p in set(points)), len(facets))
+    return _minima(sorted((tuple(dot(f, p) for f in facets), p) for p in points),
+                   len(facets))
+
+
+def _packed_minima(keys, n: int, w: int) -> list:
+    """The minimal ones of the sorted, distinct packed orthant points `keys`
+    (n fields of `w` bits, the top bit of each clear), in order.
+
+    A point below p and distinct from it is a smaller int, so p is tested
+    only against the points already kept.  For n <= 2 their first fields
+    are <= p's, so one lies below p exactly when the least last field kept
+    so far is <= p's: a running minimum.  For n = 3 the last two fields
+    y 2^w + z of the kept points are held as a staircase, the staircase of
+    `_minima` in one sorted list: y ascending and z strictly descending.
+    Above that, q lies below p exactly when ((p | H) - q) & H == H, H the
+    fields' top bits: each field of p | H minus q's stays in the field and
+    keeps its top bit exactly when p's entry is >= q's.
+    """
+    mask = (1 << w) - 1
+    kept = []
+    if n < 3:
+        low = mask + 1
+        for v in keys:
+            if v & mask < low:
+                low = v & mask
+                kept.append(v)
+    elif n == 3:
+        stair = []
+        for v in keys:
+            yz, z = v & (mask << w | mask), v & mask
+            i = bisect.bisect_right(stair, yz | mask)
+            if i and stair[i - 1] & mask <= z:
+                continue
+            j = k = bisect.bisect_left(stair, yz - z, 0, i)
+            while k < len(stair) and stair[k] & mask >= z:
+                k += 1
+            stair[j:k] = [yz]
+            kept.append(v)
+    else:
+        top = sum(1 << (w * i + w - 1) for i in range(n))
+        for v in keys:
+            if not any((v | top) - q & top == top for q in kept):
+                kept.append(v)
+    return kept
 
 
 def _minima(order, width: int) -> tuple:
-    """Points whose values are componentwise minimal, sorted.
+    """Points whose values are componentwise minimal, sorted: the sweep of
+    `_prune_to_antichain` on facet values, off the standard orthant.
 
     `order` holds (values, point) pairs with `width` values each, sorted
     lexicographically, with distinct values for distinct points.  If q's
@@ -144,9 +215,12 @@ def semigroup_ideal(semigroup: LatticeSemigroup, generators) -> SemigroupIdealSe
                              min_generators=_prune_to_antichain(semigroup.cone, gens))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def ideal_power(ideal: SemigroupIdealSet, k: int) -> SemigroupIdealSet:
-    """Minimal generators of the k-fold sum I + ... + I, pruned at each step."""
+    """Minimal generators of the k-fold sum I + ... + I, pruned at each step.
+
+    The cache holds the 64 powers a fit asks for, of two ideals at once.
+    """
     if k < 1:
         raise ValueError("power must be >= 1")
     if k == 1:
@@ -157,10 +231,8 @@ def ideal_power(ideal: SemigroupIdealSet, k: int) -> SemigroupIdealSet:
 def sum_ideals(a: SemigroupIdealSet, b: SemigroupIdealSet) -> SemigroupIdealSet:
     if a.semigroup != b.semigroup:
         raise ConeMismatch("ideals over different semigroups")
-    sums = {tuple(map(operator.add, p, q))
-            for p in a.min_generators for q in b.min_generators}
-    return SemigroupIdealSet(semigroup=a.semigroup,
-                             min_generators=_prune_to_antichain(a.semigroup.cone, sums))
+    return SemigroupIdealSet(semigroup=a.semigroup, min_generators=_prune_to_antichain(
+        a.semigroup.cone, a.min_generators, b.min_generators))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +377,11 @@ def _orthant_colength(gens, n: int) -> int:
     where the minimum drops; it is finite exactly when the first x and the
     last running minimum are 0.
     Above that, sorted by the last coordinate, the slice at height h is the
-    staircase of the generators with last coordinate <= h, constant between
-    consecutive last coordinates and grown as the height rises; it must be
-    everything from the highest of them on.
+    complement of the generators with last coordinate <= h, constant
+    between consecutive last coordinates and grown as the height rises; it
+    must be empty from the highest of them on.  In 3-D one plane staircase
+    and its area are grown point by point (`_grow_plane`); in higher
+    dimensions each slice is counted anew.
     """
     if n == 1:
         if not gens:
@@ -326,13 +400,57 @@ def _orthant_colength(gens, n: int) -> int:
         if low:
             raise NotPrimary(NEVER_DOMINATED)
         return total
+    ordered = sorted(gens, key=operator.itemgetter(-1))
+    if n == 3:
+        return _grow_plane(ordered, 1 + max(map(max, ordered), default=0))
     total, height, layer = 0, 0, []
-    for g in sorted(gens, key=operator.itemgetter(-1)):
+    for g in ordered:
         if g[-1] > height:
             total += (g[-1] - height) * _orthant_colength(layer, n - 1)
             height = g[-1]
         layer.append(g[:-1])
     if _orthant_colength(layer, n - 1):
+        raise NotPrimary(NEVER_DOMINATED)
+    return total
+
+
+def _grow_plane(ordered, top: int) -> int:
+    """The 3-D orthant count of `_orthant_colength` over generators sorted
+    by z, each coordinate below `top`.
+
+    The slice is cut to the box [0, top)^2, which holds all of it once it
+    is finite: its staircase xs ascending, ys strictly descending, starts
+    as the corners (0, top) and (top, 0), and is finite exactly when a
+    generator has replaced both.  Its area is sum (xs[t+1] - xs[t]) ys[t].
+    With i the first entry right of x, a new (x, y) lies above an entry
+    exactly when it lies above entry i - 1.  Otherwise it takes away the
+    part of the slice above it: height ys[i-1] - y over [x, xs[i]), then
+    ys[t] - y over [xs[t], xs[t+1]) for the entries t from i with
+    ys[t] > y, which it replaces together with an entry at x or one at
+    height y.
+    """
+    xs, ys = [0, top], [top, 0]
+    area, total, height = top * top, 0, 0
+    for x, y, z in ordered:
+        if z > height:
+            if ys[0] == top or xs[-1] == top:
+                raise NotPrimary(NEVER_DOMINATED)
+            total += (z - height) * area
+            height = z
+        i = bisect.bisect_right(xs, x)
+        if ys[i - 1] <= y:
+            continue
+        area -= (xs[i] - x) * (ys[i - 1] - y)
+        k = i
+        while ys[k] > y:
+            area -= (xs[k + 1] - xs[k]) * (ys[k] - y)
+            k += 1
+        if ys[k] == y:
+            k += 1
+        j = i - 1 if xs[i - 1] == x else i
+        xs[j:k] = [x]
+        ys[j:k] = [y]
+    if area:
         raise NotPrimary(NEVER_DOMINATED)
     return total
 

@@ -7,7 +7,7 @@ import pytest
 from coconvex.cones import (dual_description, extreme_rays, is_positive_on_cone,
                             orthant)
 from coconvex.errors import NotFullDimensional, NotStronglyConvex
-from coconvex.linalg import dot
+from coconvex.linalg import dot, pivot_columns, primitive
 from lp import in_cone_hull, is_pointed_by_lp, nonnegative_combination
 from test_linalg import reference_nullspace, reference_rank
 
@@ -146,7 +146,6 @@ def _brute_force_facets(rays, n):
     every ray on one side."""
     import itertools
     from fractions import Fraction
-    from coconvex.linalg import primitive
     facets = set()
     for subset in itertools.combinations(rays, n - 1):
         kernel = reference_nullspace([tuple(Fraction(x) for x in r) for r in subset]) \
@@ -169,7 +168,42 @@ def _brute_force_facets(rays, n):
     return out
 
 
+def _two_pass_description(rays):
+    """The double-description route on any dimension: (rays, facets) of the
+    cone, or the error class it decides, a line before a proper span."""
+    rays = [primitive(r) for r in rays if any(r)]
+    n = len(rays[0])
+    cols = pivot_columns(rays)
+    facets = extreme_rays([tuple(r[j] for j in cols) for r in rays], len(cols))
+    if reference_rank(facets) < len(cols):
+        return NotStronglyConvex
+    if len(cols) < n:
+        return NotFullDimensional
+    return tuple(extreme_rays(facets, n)), tuple(sorted(facets))
+
+
+# Acute, obtuse, wide (a half-plane, the whole plane), collinear and
+# opposite-ray plane inputs, with repeated and interior rays.
+PLANE_CASES = [
+    [(1, 0), (1, 2)],
+    [(1, 0), (-1, 2)],
+    [(1, 0), (-3, 1), (-1, 1), (2, 2)],
+    [(2, -1), (-1, 2), (1, 1)],
+    [(1, 0), (0, 1), (-1, 0)],
+    [(1, 1), (-1, 1), (0, -1)],
+    [(1, 2), (2, 4), (3, 6)],
+    [(0, -3), (0, -1)],
+    [(1, 2), (-1, -2)],
+    [(1, 2), (-2, -4), (0, 1)],
+    [(-1, 0), (1, 0), (0, 1)],
+    [(5, 0), (0, 3), (2, 2), (5, 0)],
+]
+
+
 def test_dual_description_matches_brute_force():
+    """Facets against the brute-force enumeration; plane cones, built with
+    no double-description pass, also against the two `extreme_rays`
+    passes, their errors included."""
     rng = random.Random(2026)
     for _ in range(25):
         n = rng.choice([2, 3])
@@ -181,6 +215,28 @@ def test_dual_description_matches_brute_force():
         except (NotFullDimensional, NotStronglyConvex, ValueError):
             continue
         assert set(cone.facets) == _brute_force_facets(cone.rays, n)
+    planes = list(PLANE_CASES)
+    for _ in range(400):
+        rays = [tuple(rng.randint(-4, 4) for _ in range(2))
+                for _ in range(rng.randint(1, 5))]
+        rays = [r for r in rays if any(r)]
+        if rays and rng.random() < 0.3:
+            rays.append(tuple(-rng.randint(1, 2) * x for x in rng.choice(rays)))
+        if rays:
+            planes.append(rays)
+    seen = {NotStronglyConvex: 0, NotFullDimensional: 0, "cone": 0}
+    for rays in planes:
+        expected = _two_pass_description(rays)
+        try:
+            cone = dual_description(rays)
+        except (NotStronglyConvex, NotFullDimensional) as exc:
+            assert type(exc) is expected, rays
+            seen[expected] += 1
+            continue
+        assert (cone.rays, cone.facets) == expected, rays
+        assert set(cone.facets) == _brute_force_facets(cone.rays, 2)
+        seen["cone"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_extreme_rays_rejects_nonspanning():

@@ -242,6 +242,41 @@ def test_prune_sweep_edge_cases():
     assert min(ties) > 0
 
 
+def test_packed_orthant_prune_and_sum_match_all_pairs_oracle():
+    """The packed orthant prune of one set and of the sums of two sets, and
+    `sum_ideals`, against the all-pairs oracle in dims 1-4, on sets with
+    repeats, empty sets, coordinates at 2^j - 1 and 2^j, and sums whose
+    largest coordinate has more bits than either set's, so the field width
+    must come from the sum."""
+    rng = random.Random(30)
+    seen = {"empty": 0, "repeated": 0, "crossed": 0}
+    for n in (1, 2, 3, 4) * 80:
+        cone = orthant(n)
+        j = rng.randint(1, 7)
+        values = (0, 1, 2 ** j - 1, 2 ** j, rng.randint(0, 2 ** j))
+
+        def draw():
+            points = [tuple(rng.choice(values) for _ in range(n))
+                      for _ in range(rng.randint(0, 9))]
+            return points + rng.choices(points, k=2) if points else points
+
+        a, b = draw(), draw()
+        sums = [tuple(map(operator.add, p, q)) for p in a for q in b]
+        assert semigroups._prune_to_antichain(cone, a) == all_pairs_prune(cone, a)
+        assert semigroups._prune_to_antichain(cone, a, b) == \
+            all_pairs_prune(cone, sums)
+        if a and b:
+            sg = lattice_semigroup(cone)
+            assert sum_ideals(semigroup_ideal(sg, a),
+                              semigroup_ideal(sg, b)).min_generators == \
+                all_pairs_prune(cone, sums)
+            seen["crossed"] += max(map(max, sums)).bit_length() > \
+                max(max(map(max, a)), max(map(max, b))).bit_length()
+        seen["empty"] += not a or not b
+        seen["repeated"] += len(set(a)) < len(a)
+    assert min(seen.values()) > 20, seen
+
+
 def _antichains_and_counts(inputs):
     """Antichain and complement count of every power k <= 4 of every
     orthant ideal, from empty caches."""
@@ -288,8 +323,8 @@ def slice_recursion_colength(gens, n):
         cuts = [0] + cuts
     total = 0
     for j, v in enumerate(cuts):
-        active = semigroups._minima(
-            [(p, p) for p in sorted({g[:-1] for g in gens if g[-1] <= v})], n - 1)
+        active = semigroups._prune_to_antichain(
+            orthant(n - 1), [g[:-1] for g in gens if g[-1] <= v])
         if j + 1 < len(cuts):
             if not active:
                 raise NotPrimary(semigroups.NEVER_DOMINATED)
@@ -302,16 +337,18 @@ def slice_recursion_colength(gens, n):
 def test_orthant_count_matches_slice_recursion_and_brute_force():
     """The plane closed form and the grown slices against the slice
     recursion and a box count, on random generator lists with dominated
-    points and repeats; without a pure power on some axis all raise."""
+    points and repeats; without a pure power on some axis all raise.  The
+    last set has larger 3-D coordinates, so the grown plane staircase
+    replaces runs of entries and meets ties in x and in y."""
     rng = random.Random(20)
     seen = {"dominated": 0, "repeated": 0, "not primary": 0}
-    for n in (2, 3) * 300:
-        gens = rng.choices(list(itertools.product(range(4), repeat=n)),
+    for n, side, power in [(2, 4, 5), (3, 4, 5)] * 300 + [(3, 13, 14)] * 60:
+        gens = rng.choices(list(itertools.product(range(side), repeat=n)),
                            k=rng.randint(0, 9))
         for i in range(n):
             if rng.random() < 0.9:
                 gens.insert(rng.randint(0, len(gens)),
-                            tuple(rng.randint(0, 5) if j == i else 0
+                            tuple(rng.randint(0, power) if j == i else 0
                                   for j in range(n)))
         primary = all(any(all(g[j] == 0 for j in range(n) if j != i) for g in gens)
                       for i in range(n))
