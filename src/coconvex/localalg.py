@@ -23,10 +23,11 @@ covolume; in the plane e(in(a^k)) is twice the area below the monotone
 chain of those exponents (`polytopes.staircase_chain`), with no staircase.
 
 The Lech chain e(a) <= e(in(a)) <= n! colength(a) reads e(a) off a
-reduction: n combinations J of the generators with J a^r = a^(r+1),
+reduction first: n combinations J of the generators with J a^r = a^(r+1),
 checked by colengths, give e(a) = colength(J).  Each combination is scaled
 once to integer coefficients (the same ideal), so J and its products stay
 in `int`.  The Hilbert-Samuel fit is the fallback when no such J is found.
+As e(a) <= u_k = e(in(a^k))/k^n, the u_k stop at the first equal to e(a).
 """
 
 from __future__ import annotations
@@ -172,6 +173,12 @@ def valuation(f: Poly, order: TermOrder):
 # Truncated echelon
 # ---------------------------------------------------------------------------
 
+# Caps checked before a table grows: its levels, and the volume
+# D^n / (n! prod ell) below level D, a lower bound on its width.
+_TABLE_LEVELS = 2 ** 16
+_TABLE_WIDTH = 2 ** 19
+
+
 class _MonomialTable:
     """Orthant exponents sorted by `order.key` and numbered, grown by level.
 
@@ -198,9 +205,16 @@ class _MonomialTable:
         self._starts = [0, 1]  # _starts[L]: how many exponents lie below L
 
     def width(self, bound: int) -> int:
-        """Number of exponents of level < bound."""
-        while len(self._starts) <= bound:
-            self._grow()
+        """Number of exponents of level < bound; a ValueError past a cap."""
+        if len(self._starts) <= bound:
+            n = self.order.n
+            if bound > _TABLE_LEVELS or bound ** n > _TABLE_WIDTH * \
+                    math.factorial(n) * math.prod(self.order.ell):
+                raise ValueError(
+                    f"the monomial table below level {bound} passes its cap "
+                    f"of {_TABLE_LEVELS} levels or {_TABLE_WIDTH} exponents")
+            while len(self._starts) <= bound:
+                self._grow()
         return self._starts[max(bound, 0)]
 
     def _grow(self) -> None:
@@ -240,8 +254,8 @@ def _reduce(pivots: dict, row: dict):
     pivot of a row is its least number.  Reducing r by the pivot row p at e
     sets r to (p[e]/g) r - (r[e]/g) p with g = gcd(r[e], p[e]), so e cancels
     exactly.  A row left nonzero is divided by its content and stored at its
-    least number, so pivot rows are primitive with a positive pivot
-    coefficient; that row is returned, or None when r reduces to zero.  A
+    least number, so pivot rows are primitive; that row is returned, or
+    None when r reduces to zero.  A
     lazy-deletion heap tracks the candidate least numbers, so each step
     costs the fill-in it causes, not a rescan of the whole row.
     """
@@ -254,8 +268,6 @@ def _reduce(pivots: dict, row: dict):
         prow = pivots.get(e)
         if prow is None:
             content = math.gcd(*row.values())
-            if row[e] < 0:
-                content = -content
             pivots[e] = prow = {k: v // content for k, v in row.items()}
             return prow
         g = math.gcd(row[e], prow[e])
@@ -432,16 +444,14 @@ def _initial_pivots(a: PolyLocalIdeal, k: int):
 
 def _initial_points(a: PolyLocalIdeal, k: int) -> frozenset:
     """Exponents that generate in(a^k): the echelon pivots below D0 and the
-    band of max(ell) levels above it.
+    exponents of level D0.
 
-    Above D0 = k * m0 * max(ell) every exponent has total degree >= k*m0,
-    so the corresponding monomial already lies in a^k; the band holds each
-    pure power.
+    An exponent of level >= D0 = k * m0 * max(ell) has degree >= k*m0, so it
+    lies above some c of degree k*m0, in a^k: c is a pivot or of level D0.
     """
     pivots, d0 = _initial_pivots(a, k)
     table = _monomial_table(a.order)
-    return pivots.union(table.exps[table.width(d0):
-                                   table.width(d0 + max(a.order.ell))])
+    return pivots.union(table.exps[table.width(d0):table.width(d0 + 1)])
 
 
 def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
@@ -525,11 +535,11 @@ class MultiplicityReport:
     e_fit: Fraction | None
 
 
-def _u_values(a: PolyLocalIdeal, kmax: int) -> tuple:
-    """u_k = e(in(a^k)) / k^n for k = 1..kmax, each checked against the
-    values at its divisors (see `MultiplicityReport`).  In the plane
-    e(in(a^k)) comes straight from `_initial_points`, with no staircase or
-    Newton region: the weights ell do not enter the covolume."""
+def _u_values(a: PolyLocalIdeal, kmax: int):
+    """Yield u_k = e(in(a^k)) / k^n for k = 1..kmax, lazily, each checked
+    against the values at its divisors (see `MultiplicityReport`).  In the
+    plane e(in(a^k)) comes straight from `_initial_points`, with no
+    staircase or Newton region: the weights ell do not enter the covolume."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     n = a.n
@@ -544,7 +554,7 @@ def _u_values(a: PolyLocalIdeal, kmax: int) -> tuple:
                     f"e(in(a^{k}))/{k}^{n} = {u} exceeds the value "
                     f"{u_values[j - 1]} at the divisor {j}")
         u_values.append(u)
-    return tuple(u_values)
+        yield u
 
 
 def _fitted_multiplicity(a: PolyLocalIdeal, fit_depth: int = None):
@@ -561,7 +571,7 @@ def _fitted_multiplicity(a: PolyLocalIdeal, fit_depth: int = None):
 
 def multiplicity_report(a: PolyLocalIdeal, kmax: int,
                         fit_depth: int = None) -> MultiplicityReport:
-    u_values = _u_values(a, kmax)
+    u_values = tuple(_u_values(a, kmax))
     hs = hilbert_samuel(a, kmax)
     e_fit = _fitted_multiplicity(a, fit_depth)
     return MultiplicityReport(u_values=u_values, hilbert_values=tuple(hs),
@@ -653,7 +663,7 @@ def _reduction_multiplicity(a: PolyLocalIdeal):
 
 @dataclass(frozen=True)
 class LechChain:
-    """e(a) <= e(in(a)) <= n! dim(R/a), with the best available e(a) bound."""
+    """e(a) <= e_upper <= e(in(a)) <= n! dim(R/a), e_upper the best bound."""
 
     e_upper: Fraction
     e_in: int
@@ -668,24 +678,25 @@ _LECH_KMAX = 4
 def lech_chain(a) -> LechChain:
     """The chain for a monomial ideal, or for a polynomial ideal with
     e_upper the least u_k over k <= _LECH_KMAX.  For a polynomial ideal, e(a)
-    comes from a reduction (`_reduction_multiplicity`), or else from the
-    Hilbert-Samuel fit when it stabilises; `holds` then also checks
-    e(a) <= e_in.  Both values are exact, so they give the same chain."""
+    comes first, from a reduction (`_reduction_multiplicity`), or else from
+    the Hilbert-Samuel fit when it stabilises; `holds` then also checks
+    e(a) <= e_upper.  As e(a) <= u_k, the u_k stop at the first equal to it."""
     if isinstance(a, MonomialIdealLocal):
         e = multiplicity(a)
         bound = math.factorial(a.n) * colength(a)
         return LechChain(e_upper=Fraction(e), e_in=e, bound=bound,
                          holds=e <= bound)
     u_values = _u_values(a, _LECH_KMAX)
-    e_in = _integral(u_values[0], "multiplicity")
+    e_upper = next(u_values)
+    e_in = _integral(e_upper, "multiplicity")
     bound = math.factorial(a.n) * colength(a)
-    e_upper = min(u_values)
-    holds = e_upper <= e_in <= bound
     e = _reduction_multiplicity(a)
     if e is None:
         e = _fitted_multiplicity(a)
-    if e is not None:
-        holds = holds and e <= e_in
+    while (e is None or e_upper > e) and \
+            (u := next(u_values, None)) is not None:
+        e_upper = min(e_upper, u)
+    holds = (e is None or e <= e_upper) and e_upper <= e_in <= bound
     return LechChain(e_upper=e_upper, e_in=e_in, bound=bound, holds=holds)
 
 

@@ -256,6 +256,26 @@ def test_not_primary_within_cap_exit_2(tmp_path, capsys):
     assert "NotPrimaryWithinCap: no power m^d with d <= 24 lies in the ideal" in err
 
 
+def test_monomial_table_caps_exit_2(tmp_path, capsys):
+    """A weight of 10^30 cuts the table at level 10^30, past the level cap;
+    (x, y, z) under (1, 1, 1800) cuts it at level 1800, where the simplex
+    below has volume 1800^3 / (3! 1800) > 2^19, past the width cap."""
+    def variables(n):
+        return [{"terms": [{"coeff": "1", "exp": [int(i == j) for j in range(n)]}]}
+                for i in range(n)]
+
+    weighted = write(tmp_path, "weighted.json", {
+        "dim": 2, "order": {"ell": [2, 10 ** 30]}, "generators": variables(2)})
+    linear = write(tmp_path, "linear.json", {
+        "dim": 3, "order": {"ell": [1, 1, 1800]}, "generators": variables(3)})
+    for argv in (["initial-ideal", "--input", weighted],
+                 ["lech", "--input", weighted],
+                 ["initial-ideal", "--input", linear]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "passes its cap of 65536 levels or 524288 exponents" in err
+
+
 def _poly(*terms):
     return {"terms": [{"coeff": c, "exp": list(e)} for c, e in terms]}
 

@@ -292,6 +292,62 @@ def test_multiplicity_report_checks_divisors(monkeypatch):
         multiplicity_report(poly_local_ideal([X + Y2, Y3]), 4)
 
 
+# (x^2 + y^3/2, xy, y^4): e(a) = 5 below u_k = 6, 11/2, 16/3, 21/4
+STRICT = [X2 + monomial(2, (0, 3), Fraction(1, 2)), X * Y, monomial(2, (0, 4))]
+
+
+POWER_CACHES = (localalg._initial_pivots, localalg._product_map,
+                localalg._monomial_table)
+
+
+def clear_power_caches():
+    for cached in POWER_CACHES:
+        cached.cache_clear()
+
+
+def test_lech_chain_checks_first_link(monkeypatch):
+    """u_2 = 19/4 below e(a) = 5 breaks e(a) <= e_upper, though
+    e(a) <= e_in still holds; the chain stops at u_2."""
+    e_in = iter([6, 19])
+    monkeypatch.setattr(localalg, "_plane_multiplicity",
+                        lambda points: next(e_in))
+    chain = lech_chain(poly_local_ideal(STRICT))
+    assert (chain.e_upper, chain.e_in, chain.holds) == (Fraction(19, 4), 6, False)
+
+
+def test_lech_chain_stops_at_the_least_u(monkeypatch):
+    """The early stop against every u_k, k <= 4, from cleared caches; and
+    the powers it asks for: none past a^1 when e(a) = e(in(a)), all four
+    when every u_k stays above e(a)."""
+    ideals = reduction_corpus()
+    ideals += [poly_local_ideal(gens, term_order((2, 3)))
+               for gens in far_power_corpus(random.Random(7))]
+    ideals.append(poly_local_ideal(
+        [monomial(2, (2, 0), Fraction(2, 3)) + Y3,
+         monomial(2, (1, 2)) + monomial(2, (0, 4), Fraction(-1, 2))],
+        order=term_order((2, 3))))
+    for a in ideals:
+        clear_power_caches()
+        e_upper = lech_chain(a).e_upper
+        clear_power_caches()
+        assert e_upper == min(localalg._u_values(a, 4)), a.generators
+    asked = []
+    real = localalg._initial_pivots
+
+    def counted(a, k):
+        asked.append(k)
+        return real(a, k)
+
+    monkeypatch.setattr(localalg, "_initial_pivots", counted)
+    x, y, z = (monomial(3, (8 * (i == j) for j in range(3))) for i in range(3))
+    for gens, powers in (([X + Y2, Y3], {1}), ([x, y, z], {1}),
+                         (STRICT, {1, 2, 3, 4})):
+        clear_power_caches()
+        del asked[:]
+        lech_chain(poly_local_ideal(gens))
+        assert set(asked) == powers, gens
+
+
 def test_u_sequence_non_increasing_corpus():
     for gens in ([X + Y2, Y3], [X2 + Y3, monomial(2, (0, 4))],
                  [X + Y, Y2], [X2 + monomial(2, (1, 1), Fraction(1, 3)), Y3]):
@@ -792,6 +848,18 @@ def test_monomial_table_prefixes_and_shifts(order):
     assert table_state(scrambled) == table_state(table)
 
 
+def test_monomial_table_caps():
+    # each cap raises before the table grows: the levels under the weights
+    # (10^30, 10^30), whose simplex below 10^30 is small, and the width of
+    # the 3-variable table below level 200 (200^3 / 3! > 2^19)
+    for order, bound in ((term_order((10 ** 30, 10 ** 30)), 10 ** 30),
+                         (standard_order(3), 200)):
+        table = _MonomialTable(order)
+        with pytest.raises(ValueError, match="passes its cap"):
+            table.width(bound)
+        assert table.exps == [(0,) * order.n]
+
+
 def test_colength_matches_level_walk():
     # the table's width below D0 against the orthant level walk it replaced
     for gens in far_power_corpus(random.Random(7)):
@@ -908,8 +976,9 @@ def validated_staircase(a, k):
 
 
 def test_trusted_staircase_matches_validated_path():
-    # the table's exponents go straight to the prune; under (2, 1) and
-    # (1, 3) the band above D0 spans several levels
+    # the table's exponents go straight to the prune, with the one level
+    # D0 above the pivots; under (2, 1) and (1, 3) the oracle's band spans
+    # several levels
     ideals = reduction_corpus()
     for ell in ((2, 1), (1, 3)):
         ideals += [poly_local_ideal(gens, term_order(ell))
