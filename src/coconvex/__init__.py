@@ -21,7 +21,7 @@ from .localalg import (BernsteinKushnirenkoReport, LechChain,
                        mprimary_exponent, multiplicity, multiplicity_report,
                        poly_local_ideal, product_ideal, standard_order,
                        term_order, truncated_echelon, valuation)
-from .polytopes import RationalPolytope, hull_vertices, polytope_volume
+from .polytopes import hull_vertices, polytope_volume
 from .regions import (NewtonRegion, cone_region, covol, minkowski_sum,
                       mixed_covol, newton_diagram, newton_region)
 from .semigroups import (LatticeSemigroup, SemigroupIdealSet,

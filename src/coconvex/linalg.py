@@ -9,9 +9,9 @@ integers: each row is scaled once to integer entries, and the
 fraction-free Gauss-Jordan pass of Bareiss and Montante keeps every
 reduced row integral, holding the last pivot p on its own pivot column
 and 0 on the other kept rows' pivot columns.  `rank`, `pivot_columns`,
-`det`, `solve`, `nullspace` and `integer_dual_basis` only read its
-result; right-hand sides and identity blocks ride along as extra columns.
-`det`, `solve` and `nullspace` divide by p once, into ``Fraction``.  The
+`det`, `solve` and `integer_dual_basis` only read its result;
+right-hand sides and identity blocks ride along as extra columns.  `det`
+and `solve` divide by p once, into ``Fraction``.  The
 one exception is `det` of a 2x2 or 3x3 matrix, which the covolume sums
 take over every simplex: it is expanded by cofactors, with no elimination.
 """
@@ -148,26 +148,6 @@ def solve(rows, rhs):
     for _, col, row in kept:
         x[col] = Fraction(row[n], p)
     return tuple(x)
-
-
-def nullspace(rows):
-    """Basis of the right null space of A, as Fraction tuples: for each free
-    column f, ascending, x_f = 1, the other free variables 0 and
-    x_(c_i) = -K_i[f] / p."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    kept, p = _gauss_jordan(rows)
-    pivots = {col for _, col, _ in kept}
-    basis = []
-    for f in range(n):
-        if f not in pivots:
-            x = [Fraction(0)] * n
-            x[f] = Fraction(1)
-            for _, col, row in kept:
-                x[col] = Fraction(-row[f], p)
-            basis.append(tuple(x))
-    return basis
 
 
 def integer_dual_basis(rows, n: int):

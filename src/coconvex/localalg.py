@@ -435,9 +435,12 @@ def _power_products(a: PolyLocalIdeal, k: int):
 
 @functools.lru_cache(maxsize=32)
 def _initial_pivots(a: PolyLocalIdeal, k: int):
-    """(pivot set, completeness level D0) for in(a^k)."""
+    """(pivot set, completeness level D0) for in(a^k).  The monomial table
+    is cut at D0 first, so a cut past its cap raises before any product of
+    a^k is formed."""
     r0 = max(a.order.ell)
     d0 = k * a.m0 * r0
+    _monomial_table(a.order).width(d0)
     pivots = truncated_echelon(_power_products(a, k), a.order, d0)
     return pivots, d0
 

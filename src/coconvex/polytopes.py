@@ -1,90 +1,57 @@
-"""Rational polytopes: hulls, dual descriptions, triangulation, exact volume.
+"""Rational polytopes: one hull, one triangulation, exact volume.
 
-Both representations are obtained by homogenizing to a pointed cone one
-dimension up and running the double-description pass from `cones`, except
-for a plane region conv(points) + cone(r1, r2) over two independent rays
-(every Newton region in dimension 2): its facets and vertices come from
-Andrew's monotone chain in the coordinates that map the cone onto the
-orthant (`staircase_chain`, which also gives `localalg` its plane
-multiplicities).
+Facets and vertices come from `homogenized_hull`: it homogenizes to a
+pointed cone one dimension up and runs the double-description pass from
+`cones`, except for a plane region conv(points) + cone(r1, r2) over two
+independent rays (every Newton region in dimension 2), whose facets and
+vertices come from Andrew's monotone chain in the coordinates that map the
+cone onto the orthant (`staircase_chain`, which also gives `localalg` its
+plane multiplicities).
 A lower-dimensional point set gets coordinates in one way only: it is
 projected onto the pivot coordinates of its affine span
-(`linalg.pivot_columns`), where the projection is injective, handled
-there as a full-dimensional polytope, and mapped back point by point.
-Vertices are read off the facet incidences, with no rank computed, and
-faces are triangulated by pulling over them, with no further hull.  A
-lower-dimensional polytope has volume zero.  The area of a polygon
-(`hull_volume`) comes from a monotone chain too, with no pass.
+(`linalg.pivot_columns`), where the projection is injective, hulled
+there, and mapped back point by point.  Vertices are read off the facet
+incidences (`tight_sets`), with no rank computed, and faces are pulled
+over them, with no further hull.  A volume sums |det| over the simplices,
+as `regions.covol` does; a lower-dimensional polytope has volume zero.
+The area of a polygon (`hull_volume`) comes from a monotone chain too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
 from .cones import extreme_rays
-from .linalg import det, dot, exact_vector, nullspace, pivot_columns, primitive, vec_sub
+from .linalg import det, dot, exact_vector, pivot_columns, primitive, vec_sub
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
-    """Bounded polytope with matching V- and H-representations.
-
-    `vertices` are sorted `exact_vector` tuples; `halfspaces` are sorted pairs
-    (normal, offset) with primitive integer normal, meaning normal.x >= offset.
-    Facet offsets are ``int``; affine-hull equations of degenerate polytopes
-    appear as opposite pairs with ``Fraction`` offsets.
-    """
-
-    dim: int
-    affine_dim: int
-    vertices: tuple
-    halfspaces: tuple
-
-
-def _exact_points(points):
+def _project(points):
+    """Pivot columns of the affine span of the points, and the map from each
+    point's projection onto them back to the point.  The points are taken
+    as `exact_vector` tuples, repeats dropped; ValueError when there are
+    none or their dimensions differ."""
     pts = sorted({exact_vector(p) for p in points})
     if not pts:
         raise ValueError("need at least one point")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
-    return pts, n
-
-
-def _project(pts):
-    """Pivot columns of the affine span of the points, and the map from each
-    point's projection onto them back to the point."""
     cols = pivot_columns([vec_sub(p, pts[0]) for p in pts])
     return cols, {tuple(p[j] for j in cols): p for p in pts}
 
 
-def hull_vertices(points) -> RationalPolytope:
-    """Convex hull with non-extreme points removed and facets computed.
-
-    A hull of affine dimension d < n is built on the projection onto the d
-    pivot coordinates of its affine span; its facet normals are zero-padded
-    back to R^n and the equations of the span are added.
-    """
-    pts, n = _exact_points(points)
-    cols, backmap = _project(pts)
-    if len(cols) == n:
-        return _hull_full_dim(pts, n)
-    sub = _hull_full_dim(sorted(backmap), len(cols))
-    halfspaces = set()
-    for u, c in sub.halfspaces:
-        padded = dict(zip(cols, u))
-        halfspaces.add((tuple(padded.get(j, 0) for j in range(n)), c))
-    for nu in nullspace([vec_sub(p, pts[0]) for p in pts]):
-        nu = primitive(nu)
-        c = Fraction(dot(nu, pts[0]))
-        halfspaces.add((nu, c))
-        halfspaces.add((tuple(-x for x in nu), -c))
-    return RationalPolytope(dim=n, affine_dim=len(cols),
-                            vertices=tuple(sorted(backmap[v] for v in sub.vertices)),
-                            halfspaces=tuple(sorted(halfspaces)))
+def hull_vertices(points):
+    """Facets and vertices of a bounded hull whose affine span is R^n, as
+    `homogenized_hull` returns them with no rays."""
+    n = len(points[0])
+    halfspaces, vertices = homogenized_hull(points, (), n)
+    if len(vertices) <= n:
+        raise InvariantViolation(
+            f"a full-dimensional hull in dimension {n} has only "
+            f"{len(vertices)} vertices")
+    return halfspaces, vertices
 
 
 def homogenized_hull(points, rays, n: int):
@@ -186,30 +153,19 @@ def hull_volume(points) -> Fraction:
 
     A segment is max - min.  A polygon takes Andrew's monotone chain, lower
     half left to right and upper half back, and the shoelace formula over
-    both halves, with no double-description pass.  From d = 3 on the hull
-    comes from `hull_vertices`; `polytope_volume` counts a flat one as 0.
+    both halves, with no double-description pass.  From d = 3 on the
+    volume is `polytope_volume`, which counts a flat hull as 0.
     """
     pts = sorted(set(points))
     d = len(pts[0])
     if d == 1:
         return Fraction(pts[-1][0] - pts[0][0])
     if d > 2:
-        return polytope_volume(hull_vertices(pts))
+        return polytope_volume(pts)
     chains = _chain(pts), _chain(pts[::-1])
     twice = sum(x0 * y1 - x1 * y0 for chain in chains
                 for (x0, y0), (x1, y1) in zip(chain, chain[1:]))
     return Fraction(twice) / 2
-
-
-def _hull_full_dim(pts, n):
-    """Hull of sorted points whose affine span is R^n."""
-    halfspaces, vertices = homogenized_hull(pts, (), n)
-    if len(vertices) <= n:
-        raise InvariantViolation(
-            f"a full-dimensional hull in dimension {n} has only "
-            f"{len(vertices)} vertices")
-    return RationalPolytope(dim=n, affine_dim=n, vertices=vertices,
-                            halfspaces=halfspaces)
 
 
 def pull_simplices(face, d, tight):
@@ -230,38 +186,36 @@ def pull_simplices(face, d, tight):
             for simplex in pull_simplices(f, d - 1, tight)]
 
 
-def triangulate(poly: RationalPolytope):
-    """Deterministic triangulation into simplices (tuples of vertex points).
-
-    A full-dimensional polytope is pulled over the tight sets of its
-    halfspaces, a lower-dimensional one through `triangulate_points`.
-    """
-    if poly.affine_dim < poly.dim:
-        return triangulate_points(poly.vertices)
-    tight = [frozenset(i for i, v in enumerate(poly.vertices) if dot(u, v) == c)
-             for u, c in poly.halfspaces]
-    return [tuple(poly.vertices[i] for i in s) for s in
-            pull_simplices(frozenset(range(len(poly.vertices))), poly.dim, tight)]
+def tight_sets(halfspaces, points):
+    """Facet incidences: for each (normal, offset) pair, the indices of the
+    points on it."""
+    return [frozenset(i for i, p in enumerate(points) if dot(u, p) == c)
+            for u, c in halfspaces]
 
 
 def triangulate_points(points):
     """Triangulation of conv(points) into simplices of input points.
 
     The points are projected onto the pivot coordinates of their affine
-    span, where the projection is injective, hulled once and triangulated
-    there by `triangulate`, and each simplex is mapped back point by point.
+    span, where the projection is injective, hulled once there
+    (`hull_vertices`) and pulled over the facet incidences, and each
+    simplex is mapped back point by point.  A single point gives none.
     """
-    cols, backmap = _project(_exact_points(points)[0])
+    cols, backmap = _project(points)
     if not cols:
         return []
-    sub = _hull_full_dim(sorted(backmap), len(cols))
-    return [tuple(backmap[v] for v in simplex) for simplex in triangulate(sub)]
+    halfspaces, vertices = hull_vertices(sorted(backmap))
+    return [tuple(backmap[vertices[i]] for i in simplex) for simplex in
+            pull_simplices(frozenset(range(len(vertices))), len(cols),
+                           tight_sets(halfspaces, vertices))]
 
 
-def polytope_volume(poly: RationalPolytope) -> Fraction:
-    """Exact Euclidean volume by determinant sums over the triangulation;
-    a flat polytope measures 0."""
-    if poly.affine_dim < poly.dim:
+def polytope_volume(points) -> Fraction:
+    """Exact volume of conv(points): |det| summed over `triangulate_points`
+    and divided by d!; a flat hull measures 0."""
+    simplices = triangulate_points(points)
+    # The simplices of a hull of affine dimension k < d have k + 1 <= d points.
+    if not simplices or len(simplices[0]) <= len(simplices[0][0]):
         return Fraction(0)
-    total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]])) for s in triangulate(poly))
-    return Fraction(total) / math.factorial(poly.dim)
+    total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]])) for s in simplices)
+    return Fraction(total) / math.factorial(len(simplices[0]) - 1)

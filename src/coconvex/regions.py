@@ -29,7 +29,7 @@ from fractions import Fraction
 from .cones import RationalCone, is_positive_on_cone
 from .errors import ConeMismatch, NotCobounded, WrongArity
 from .linalg import det, dot, exact_vector, primitive
-from .polytopes import homogenized_hull, hull_volume, pull_simplices
+from .polytopes import homogenized_hull, hull_volume, pull_simplices, tight_sets
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,7 @@ def cone_region(cone: RationalCone, ell) -> NewtonRegion:
 
 def _facet_incidences(region: NewtonRegion):
     """Generator index sets of the facets and of the bounded facets."""
-    tight = [frozenset(i for i, g in enumerate(region.generators) if dot(u, g) == c)
-             for u, c in region.facets]
+    tight = tight_sets(region.facets, region.generators)
     bounded = [face for (u, _), face in zip(region.facets, tight)
                if is_positive_on_cone(u, region.cone)]
     return tight, bounded

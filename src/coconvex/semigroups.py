@@ -239,7 +239,7 @@ def sum_ideals(a: SemigroupIdealSet, b: SemigroupIdealSet) -> SemigroupIdealSet:
 # Hilbert basis and level enumeration
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _cosets(rays: tuple):
     """The cosets of the lattice spanned by n primitive rays r_i in Z^n.
 
@@ -250,7 +250,8 @@ def _cosets(rays: tuple):
     c = (a_j . x mod D) form Z^n / R Z^n, a group of order D generated by
     the images of the unit vectors, so it is closed from 0 by adding those,
     one step per coset and unit vector.  Returns D, the adjugate rows and
-    the (c, b) pairs; b = sum c_j r_j / D.
+    the (c, b) pairs; b = sum c_j r_j / D.  The cache holds the simplicial
+    pieces of a few cones at once.
     """
     n = len(rays)
     _, d, adj = integer_dual_basis(rays, n)

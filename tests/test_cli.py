@@ -259,7 +259,9 @@ def test_not_primary_within_cap_exit_2(tmp_path, capsys):
 def test_monomial_table_caps_exit_2(tmp_path, capsys):
     """A weight of 10^30 cuts the table at level 10^30, past the level cap;
     (x, y, z) under (1, 1, 1800) cuts it at level 1800, where the simplex
-    below has volume 1800^3 / (3! 1800) > 2^19, past the width cap."""
+    below has volume 1800^3 / (3! 1800) > 2^19, past the width cap, and so
+    does the 200th power of (x, y, z), cut at level 200.  The cap fires
+    before any product of generators is formed."""
     def variables(n):
         return [{"terms": [{"coeff": "1", "exp": [int(i == j) for j in range(n)]}]}
                 for i in range(n)]
@@ -268,12 +270,16 @@ def test_monomial_table_caps_exit_2(tmp_path, capsys):
         "dim": 2, "order": {"ell": [2, 10 ** 30]}, "generators": variables(2)})
     linear = write(tmp_path, "linear.json", {
         "dim": 3, "order": {"ell": [1, 1, 1800]}, "generators": variables(3)})
+    maximal = write(tmp_path, "maximal.json", {"dim": 3, "generators": variables(3)})
     for argv in (["initial-ideal", "--input", weighted],
                  ["lech", "--input", weighted],
-                 ["initial-ideal", "--input", linear]):
+                 ["initial-ideal", "--input", linear],
+                 ["initial-ideal", "--input", maximal, "--k", "200"]):
+        misses = localalg._product_map.cache_info().misses
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert "passes its cap of 65536 levels or 524288 exponents" in err
+        assert localalg._product_map.cache_info().misses == misses, argv
 
 
 def _poly(*terms):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coconvex.linalg import (det, dot, exact_vector, integer_dual_basis,
-                             nullspace, pivot_columns, primitive, rank,
-                             scale_to_int, solve)
+                             pivot_columns, primitive, rank, scale_to_int,
+                             solve)
 
 
 # Reference oracles: one separate Gaussian elimination per question, kept
@@ -82,7 +82,7 @@ def dual_basis(rows):
     """
     n = len(rows)
     eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    kernel = nullspace([tuple(r) + tuple(-e for e in u) for r, u in zip(rows, eye)])
+    kernel = reference_nullspace([tuple(r) + tuple(-e for e in u) for r, u in zip(rows, eye)])
     # The kernel is {(y, A y)}: its last n coordinates span only the range of A.
     if [v[n:] for v in kernel] != eye:
         raise ValueError("matrix is singular")
@@ -177,13 +177,6 @@ def test_solve_square_and_inconsistent():
     assert solve([(1, 1), (2, 2)], (1, 3)) is None
     # consistent rectangular
     assert solve([(1, 1), (2, 2)], (1, 2)) == (Fraction(1), Fraction(0))
-
-
-def test_nullspace():
-    basis = nullspace([(1, 1, 0)])
-    assert len(basis) == 2
-    for v in basis:
-        assert dot((1, 1, 0), v) == 0
 
 
 def test_primitive_and_scale_to_int():
@@ -316,7 +309,6 @@ def test_kernel_matches_reference_eliminations():
         x = solve(rows, rhs)
         assert x == reference_solve(rows, rhs), (rows, rhs)
         seen["inconsistent"] += x is None
-        assert nullspace(rows) == reference_nullspace(rows), rows
         seen["rank_deficient"] += r < min(m, n)
     assert min(seen.values()) >= 100, seen
 

@@ -1,9 +1,11 @@
 """Hulls and exact volumes, checked against shoelace and determinant oracles."""
 
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -11,14 +13,13 @@ from coconvex import polytopes, regions
 from coconvex.errors import (InvariantViolation, NotFullDimensional,
                              NotStronglyConvex)
 from coconvex.cones import dual_description, extreme_rays, orthant
-from coconvex.linalg import (det, dot, nullspace, primitive,
-                             rank, vec_sub)
-from coconvex.polytopes import (RationalPolytope, _hull_full_dim,
-                                homogenized_hull, hull_vertices, hull_volume,
-                                polytope_volume, pull_simplices, triangulate)
+from coconvex.linalg import det, dot, primitive, rank, vec_sub
+from coconvex.polytopes import (homogenized_hull, hull_vertices, hull_volume,
+                                pull_simplices, triangulate_points)
 from coconvex.regions import newton_region
 from lp import nonnegative_combination
-from test_linalg import reference_echelon, reference_independent_subset
+from test_linalg import (reference_echelon, reference_independent_subset,
+                         reference_nullspace)
 
 
 def sort_ccw(points):
@@ -65,9 +66,9 @@ def vertices_from_halfspaces(halfspaces, dim: int):
     return sorted(vertices)
 
 
-def inside(poly, q):
-    """q satisfies every halfspace of the polytope."""
-    return all(dot(u, q) >= c for u, c in poly.halfspaces)
+def inside(halfspaces, q):
+    """q satisfies every halfspace."""
+    return all(dot(u, q) >= c for u, c in halfspaces)
 
 
 def shoelace(ordered):
@@ -88,43 +89,40 @@ def is_extreme_by_lp(point, others):
 
 
 def test_unit_square():
-    poly = hull_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert polytope_volume(poly) == 1
-    assert len(poly.vertices) == 4
+    pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert hull_volume(pts) == 1
+    assert len(hull_vertices(pts)[1]) == 4
 
 
 def test_simplex_half():
-    poly = hull_vertices([(0, 0), (1, 0), (0, 1)])
-    assert polytope_volume(poly) == Fraction(1, 2)
+    assert hull_volume([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 2)
 
 
 def test_quadrilateral_matches_shoelace():
     pts = [(0, 0), (3, 0), (1, 1), (0, 2)]
-    poly = hull_vertices(pts)
-    ordered = sort_ccw(poly.vertices)
-    assert polytope_volume(poly) == shoelace(ordered)
+    _, vertices = hull_vertices(pts)
+    ordered = sort_ccw(vertices)
+    assert hull_volume(pts) == shoelace(ordered)
     # (1,1) sits inside the hull of the other three points, so it is pruned
-    assert (Fraction(1), Fraction(1)) not in poly.vertices
+    assert (Fraction(1), Fraction(1)) not in vertices
 
 
 def test_hull_single_point():
-    poly = hull_vertices([(0, 0)])
-    assert poly.vertices == ((Fraction(0), Fraction(0)),)
-    assert poly.affine_dim == 0
-    assert polytope_volume(poly) == 0
+    assert triangulate_points([(0, 0)]) == []
+    assert hull_volume([(0, 0)]) == 0
+    assert reference_hull([(0, 0)]).vertices == ((Fraction(0), Fraction(0)),)
 
 
 def test_hull_collinear_segment():
-    poly = hull_vertices([(2, 0), (1, 1), (0, 2)])
-    assert poly.vertices == ((Fraction(0), Fraction(2)), (Fraction(2), Fraction(0)))
-    assert poly.affine_dim == 1
-    assert polytope_volume(poly) == 0
+    """A flat hull is triangulated in its own span, by the vertices only."""
+    pts = [(2, 0), (1, 1), (0, 2)]
+    assert triangulate_points(pts) == [((0, 2), (2, 0))]
+    assert hull_volume(pts) == 0
 
 
 def test_hull_triangle_all_extreme():
     pts = [(3, 0), (1, 1), (0, 2)]
-    poly = hull_vertices(pts)
-    assert len(poly.vertices) == 3
+    assert len(hull_vertices(pts)[1]) == 3
     for p in pts:
         others = [q for q in pts if q != p]
         assert is_extreme_by_lp(p, others)
@@ -132,53 +130,51 @@ def test_hull_triangle_all_extreme():
 
 def test_halfspaces_describe_hull():
     pts = [(0, 0), (4, 0), (0, 3), (2, 2)]
-    poly = hull_vertices(pts)
+    halfspaces, vertices = hull_vertices(pts)
     rng = random.Random(3)
     for _ in range(200):
         q = (rng.randint(-2, 6), rng.randint(-2, 5))
-        inside_h = inside(poly, q)
+        inside_h = inside(halfspaces, q)
         inside_v = nonnegative_combination(
-            [tuple(v) + (1,) for v in poly.vertices],
+            [tuple(v) + (1,) for v in vertices],
             tuple(q) + (1,)) is not None
         assert inside_h == inside_v
 
 
 def test_three_dim_simplex_and_cube():
-    simplex = hull_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert polytope_volume(simplex) == Fraction(1, 6)
-    cube = hull_vertices(list(itertools.product([0, 2], repeat=3)))
-    assert polytope_volume(cube) == 8
-    assert len(cube.halfspaces) == 6
+    assert hull_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == Fraction(1, 6)
+    cube = list(itertools.product([0, 2], repeat=3))
+    assert hull_volume(cube) == 8
+    assert len(hull_vertices(cube)[0]) == 6
 
 
 def test_volume_translation_invariant_and_homogeneous():
     base = [(0, 0), (3, 0), (1, 1), (0, 2)]
-    vol = polytope_volume(hull_vertices(base))
+    vol = hull_volume(base)
     shifted = [(x + 5, y - 7) for x, y in base]
-    assert polytope_volume(hull_vertices(shifted)) == vol
+    assert hull_volume(shifted) == vol
     for lam in (Fraction(1, 2), Fraction(2), Fraction(3)):
         scaled = [(lam * x, lam * y) for x, y in base]
-        assert polytope_volume(hull_vertices(scaled)) == lam ** 2 * vol
+        assert hull_volume(scaled) == lam ** 2 * vol
     base3 = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)]
-    vol3 = polytope_volume(hull_vertices(base3))
+    vol3 = hull_volume(base3)
     for lam in (Fraction(1, 2), Fraction(2)):
         scaled = [tuple(lam * x for x in p) for p in base3]
-        assert polytope_volume(hull_vertices(scaled)) == lam ** 3 * vol3
+        assert hull_volume(scaled) == lam ** 3 * vol3
 
 
 def test_volume_additive_under_hyperplane_split():
     rng = random.Random(11)
     for _ in range(12):
         pts = [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(6)]
-        poly = hull_vertices(pts)
-        if poly.affine_dim < 2:
+        if rank([vec_sub(p, pts[0]) for p in pts]) < 2:
             continue
         a, b, c = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(0, 5)
         if a == 0 and b == 0:
             continue
         # split by ax + by = c: vertices plus edge intersections on each side
         left, right = [], []
-        verts = list(poly.vertices)
+        verts = list(hull_vertices(pts)[1])
         for v in verts:
             s = a * v[0] + b * v[1] - c
             if s <= 0:
@@ -193,10 +189,10 @@ def test_volume_additive_under_hyperplane_split():
                 cut = (v[0] + t * (w[0] - v[0]), v[1] + t * (w[1] - v[1]))
                 left.append(cut)
                 right.append(cut)
-        vol_left = polytope_volume(hull_vertices(left)) if left else 0
-        vol_right = polytope_volume(hull_vertices(right)) if right else 0
+        vol_left = hull_volume(left) if left else 0
+        vol_right = hull_volume(right) if right else 0
         # crude split keeps non-hull interior points; hull prunes them
-        assert vol_left + vol_right == polytope_volume(poly)
+        assert vol_left + vol_right == hull_volume(pts)
 
 
 def test_volume_additive_under_plane_split_3d():
@@ -204,15 +200,14 @@ def test_volume_additive_under_plane_split_3d():
     for _ in range(6):
         pts = [(rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5))
                for _ in range(7)]
-        poly = hull_vertices(pts)
-        if poly.affine_dim < 3:
+        if rank([vec_sub(p, pts[0]) for p in pts]) < 3:
             continue
         normal = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
         if not any(normal):
             continue
         c = rng.randint(0, 6)
         left, right = [], []
-        verts = list(poly.vertices)
+        verts = list(hull_vertices(pts)[1])
         for v in verts:
             s = sum(a * b for a, b in zip(normal, v)) - c
             if s <= 0:
@@ -227,8 +222,8 @@ def test_volume_additive_under_plane_split_3d():
                 cut = tuple(vi + t * (wi - vi) for vi, wi in zip(v, w))
                 left.append(cut)
                 right.append(cut)
-        vol = lambda ps: polytope_volume(hull_vertices(ps)) if ps else Fraction(0)
-        assert vol(left) + vol(right) == polytope_volume(poly)
+        vol = lambda ps: hull_volume(ps) if ps else Fraction(0)
+        assert vol(left) + vol(right) == hull_volume(pts)
 
 
 def test_vertices_from_halfspaces_square():
@@ -249,26 +244,25 @@ def test_volume_against_scipy_hull():
     for _ in range(10):
         n = rng.choice([2, 3])
         pts = [tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(n + 5)]
-        poly = hull_vertices(pts)
-        if poly.affine_dim < n:
+        if rank([vec_sub(p, pts[0]) for p in pts]) < n:
             continue
         reference = scipy_spatial.ConvexHull([list(map(float, p)) for p in pts])
-        assert abs(float(polytope_volume(poly)) - reference.volume) < 1e-9
+        assert abs(float(hull_volume(pts)) - reference.volume) < 1e-9
 
 
 def test_triangulation_covers_volume():
     pts = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 3), (2, 2, 2)]
-    poly = hull_vertices(pts)
-    tri = triangulate(poly)
+    tri = triangulate_points(pts)
     total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]])) for s in tri)
-    assert Fraction(total, 6) == polytope_volume(poly)
+    assert Fraction(total, 6) == hull_volume(pts) == \
+        _measure(reference_triangulate(reference_hull(pts)), range(3)) / 6
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cube_triangulation_is_n_factorial_unit_simplices(n):
     """Pulling {0,1}^n from the origin gives the staircase triangulation:
     n! simplices, each of normalized volume 1."""
-    simplices = triangulate(hull_vertices(itertools.product([0, 1], repeat=n)))
+    simplices = triangulate_points(itertools.product([0, 1], repeat=n))
     assert len(simplices) == math.factorial(n)
     assert all(abs(det([vec_sub(v, s[0]) for v in s[1:]])) == 1 for s in simplices)
 
@@ -283,17 +277,17 @@ def test_pull_simplices_rejects_a_face_short_of_vertices():
 
 
 def test_integral_points_stay_integers():
-    """Hull vertices keep integral coordinates as int and the others as
-    Fraction; 3 == Fraction(3) with equal hashes, so the polytope does not
-    depend on how its points were given."""
+    """Simplex vertices keep integral coordinates as int and the others as
+    Fraction; 3 == Fraction(3) with equal hashes, so the triangulation does
+    not depend on how its points were given."""
     pts = [(0, 0), (3, 0), (1, 1), (0, 2)]
-    ints = hull_vertices(pts)
-    fracs = hull_vertices([tuple(map(Fraction, p)) for p in pts])
+    ints = tuple(triangulate_points(pts))
+    fracs = tuple(triangulate_points([tuple(map(Fraction, p)) for p in pts]))
     assert ints == fracs and hash(ints) == hash(fracs)
-    assert all(type(x) is int for v in fracs.vertices for x in v)
-    half = hull_vertices([(Fraction(3, 2), 0), (0, Fraction(4, 2)), (0, 0)])
-    assert half.vertices == ((0, 0), (0, 2), (Fraction(3, 2), 0))
-    assert [[type(x) for x in v] for v in half.vertices] == \
+    assert all(type(x) is int for s in fracs for v in s for x in v)
+    [half] = triangulate_points([(Fraction(3, 2), 0), (0, Fraction(4, 2)), (0, 0)])
+    assert half == ((0, 0), (0, 2), (Fraction(3, 2), 0))
+    assert [[type(x) for x in v] for v in half] == \
         [[int, int], [int, int], [Fraction, int]]
 
 
@@ -301,6 +295,22 @@ def test_integral_points_stay_integers():
 # triangulations their coordinates before the pivot-coordinate projection.
 # A Gram-matrix left inverse maps the affine hull onto R^d; facets of a
 # full-dimensional polytope drop the first coordinate their normal uses.
+
+class Hull(NamedTuple):
+    """Reference hull: sorted vertices and sorted (normal, offset) pairs,
+    normal.x >= offset; a hull of affine dimension below `dim` adds the
+    equations of its span as opposite pairs with ``Fraction`` offsets."""
+
+    dim: int
+    affine_dim: int
+    vertices: tuple
+    halfspaces: tuple
+
+
+def _reference_full_dim(pts, n):
+    halfspaces, vertices = hull_vertices(pts)
+    return Hull(dim=n, affine_dim=n, vertices=vertices, halfspaces=halfspaces)
+
 
 def _normalize_halfspace(u, c):
     prim = primitive(u)
@@ -316,7 +326,7 @@ def _affine_chart(p0, diffs, d):
     # Left inverse L = G^-1 B with G = B B^T the Gram matrix: G L = B, so
     # the c-th kernel vector of [G | -B] is (column c of L, e_c).
     gram = [tuple(dot(bi, bj) for bj in basis) for bi in basis]
-    kernel = nullspace([g + tuple(-x for x in b) for g, b in zip(gram, basis)])
+    kernel = reference_nullspace([g + tuple(-x for x in b) for g, b in zip(gram, basis)])
     lmat = [tuple(v[r] for v in kernel) for r in range(d)]
     return basis, lmat
 
@@ -329,8 +339,8 @@ def _hull_degenerate(pts, n, d, p0, diffs):
             ne = tuple(-x for x in e)
             halfspaces.append((e, Fraction(p0[i])))
             halfspaces.append((ne, Fraction(-p0[i])))
-        return RationalPolytope(dim=n, affine_dim=0, vertices=(p0,),
-                                halfspaces=tuple(sorted(halfspaces)))
+        return Hull(dim=n, affine_dim=0, vertices=(p0,),
+                    halfspaces=tuple(sorted(halfspaces)))
     basis, lmat = _affine_chart(p0, diffs, d)
     coords = []
     backmap = {}
@@ -338,19 +348,19 @@ def _hull_degenerate(pts, n, d, p0, diffs):
         lam = tuple(dot(row, vec_sub(p, p0)) for row in lmat)
         coords.append(lam)
         backmap[lam] = p
-    sub = _hull_full_dim(sorted(set(coords)), d)
+    sub = _reference_full_dim(sorted(set(coords)), d)
     vertices = tuple(sorted(backmap[v] for v in sub.vertices))
     halfspaces = []
     for u, c in sub.halfspaces:
         # pull back through x -> L (x - p0)
         w = tuple(sum(u[r] * lmat[r][j] for r in range(d)) for j in range(n))
         halfspaces.append(_normalize_halfspace(w, Fraction(c) + dot(w, p0)))
-    for nu in nullspace(basis):
+    for nu in reference_nullspace(basis):
         nu = primitive(nu)
         halfspaces.append((nu, Fraction(dot(nu, p0))))
         halfspaces.append((tuple(-x for x in nu), Fraction(-dot(nu, p0))))
-    return RationalPolytope(dim=n, affine_dim=d, vertices=vertices,
-                            halfspaces=tuple(sorted(set(halfspaces))))
+    return Hull(dim=n, affine_dim=d, vertices=vertices,
+                halfspaces=tuple(sorted(set(halfspaces))))
 
 
 def reference_hull(points):
@@ -360,7 +370,7 @@ def reference_hull(points):
     diffs = [vec_sub(p, p0) for p in pts[1:]]
     d = rank(diffs) if diffs else 0
     if d == n:
-        return _hull_full_dim(pts, n)
+        return _reference_full_dim(pts, n)
     return _hull_degenerate(pts, n, d, p0, diffs)
 
 
@@ -375,7 +385,7 @@ def _triangulate_degenerate(poly):
         lam = tuple(dot(row, vec_sub(p, p0)) for row in lmat)
         coords.append(lam)
         backmap[lam] = p
-    sub = _hull_full_dim(sorted(set(coords)), poly.affine_dim)
+    sub = _reference_full_dim(sorted(set(coords)), poly.affine_dim)
     return [tuple(backmap[s] for s in simplex)
             for simplex in reference_triangulate(sub)]
 
@@ -419,13 +429,14 @@ def _measure(simplices, cols):
 
 
 def test_projection_matches_affine_chart():
-    """Hulls and triangulations through the pivot-coordinate projection
-    agree with the affine-chart reference: vertices, affine dimension,
-    full-dimensional facets, membership on and off the affine hull, volume,
-    and the measure of the triangulation.  Degenerate halfspace tuples and
-    the simplices themselves are not unique, so they are not compared.
-    In dimensions 1 and 2, where it takes its own path, `hull_volume` of
-    the points is that volume too, and 0 when the points are flat."""
+    """Triangulations through the pivot-coordinate projection agree with
+    the affine-chart reference: their vertices are the reference vertices,
+    their simplices have its affine dimension, their hull holds the probes,
+    on and off the affine hull, that its halfspaces hold, and their measure
+    is its triangulation's.  A full-dimensional hull has the reference
+    facets, and `hull_volume`, which takes its own path in dimensions 1 and
+    2, is the reference volume, and 0 when the points are flat.  The
+    simplices themselves are not unique, so they are not compared."""
     rng = random.Random(29)
     degenerate = 0
     for case in range(1500):
@@ -440,27 +451,28 @@ def test_projection_matches_affine_chart():
                          for j, x in enumerate(p0))
 
         pts = [on_span(2) for _ in range(rng.randint(1, d + 2))]
-        poly, ref = hull_vertices(pts), reference_hull(pts)
-        assert poly.vertices == ref.vertices, pts
-        assert poly.affine_dim == ref.affine_dim, pts
+        ref, simplices = reference_hull(pts), triangulate_points(pts)
+        vertices = sorted({v for s in simplices for v in s}) or [pts[0]]
+        assert vertices == list(ref.vertices), pts
+        assert (len(simplices[0]) - 1 if simplices else 0) == ref.affine_dim, pts
         probes = [on_span(3) for _ in range(4)]
         probes += [tuple(_random_fraction(rng, 4) for _ in range(n)) for _ in range(2)]
         for q in probes:
-            assert inside(poly, q) == inside(ref, q), (pts, q)
+            in_hull = nonnegative_combination([tuple(v) + (1,) for v in vertices],
+                                              tuple(q) + (1,)) is not None
+            assert in_hull == inside(ref.halfspaces, q), (pts, q)
         ref_simplices = reference_triangulate(ref)
-        if poly.affine_dim == n:
-            assert poly.halfspaces == ref.halfspaces, pts
-            assert polytope_volume(poly) == \
-                _measure(ref_simplices, range(n)) / math.factorial(n), pts
+        if ref.affine_dim == n:
+            assert hull_vertices(pts)[0] == ref.halfspaces, pts
+            volume = _measure(ref_simplices, range(n)) / math.factorial(n)
+            assert _measure(simplices, range(n)) / math.factorial(n) == volume, pts
         else:
             degenerate += 1
-            assert polytope_volume(poly) == 0
+            volume = 0
             cols = sorted(col for col, _ in reference_echelon(
-                [vec_sub(v, poly.vertices[0]) for v in poly.vertices]))
-            assert _measure(triangulate(poly), cols) == \
-                _measure(ref_simplices, cols), pts
-        if n <= 2:
-            assert hull_volume(pts) == polytope_volume(poly), pts
+                [vec_sub(v, vertices[0]) for v in vertices]))
+            assert _measure(simplices, cols) == _measure(ref_simplices, cols), pts
+        assert hull_volume(pts) == volume, pts
     assert degenerate >= 500, degenerate
 
 
@@ -628,3 +640,44 @@ def test_planar_hulls_skip_the_double_description_pass(monkeypatch):
         assert (region.facets, region.generators) == (halfspaces, vertices)
     with pytest.raises(PassReached):
         hull_vertices(cases[0][1])
+
+
+def _pinned_point_sets(rng, count):
+    """Seeded point sets in R^2..R^4: three in ten flat (affine rank below d),
+    a fifth with ``Fraction`` coordinates, and duplicated points."""
+    for case in range(count):
+        d = 2 + case % 3
+        rank_ = rng.randint(0, d - 1) if case % 10 < 3 else d
+        entry = ((lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                 if case % 5 == 4 else (lambda: rng.randint(-3, 3)))
+        if rank_ == d:
+            pts = [tuple(entry() for _ in range(d)) for _ in range(rng.randint(d + 1, d + 5))]
+        else:
+            p0 = tuple(entry() for _ in range(d))
+            basis = [tuple(entry() for _ in range(d)) for _ in range(rank_)]
+            lams = [[rng.randint(-2, 2) for _ in basis] for _ in range(rng.randint(1, d + 3))]
+            pts = [tuple(x + sum(m * b[j] for m, b in zip(lam, basis))
+                         for j, x in enumerate(p0)) for lam in lams]
+        pts += rng.sample(pts, rng.randint(0, min(2, len(pts))))
+        rng.shuffle(pts)
+        yield pts
+
+
+PINNED_HULL_DIGEST = "4062a8a46e8e763bce11c1d208e6d613d26c50e8c0a390ab54eb8637248fbcb1"
+
+
+def test_hull_volume_and_triangulation_are_pinned():
+    """`hull_volume` and `triangulate_points` on 1,500 seeded point sets
+    (flat ones, duplicates and ``Fraction`` coordinates included) hash to
+    a fixed SHA-256, so a change of route cannot change a volume, a
+    simplex or the order of the simplices."""
+    digest = hashlib.sha256()
+    flat = nonzero = 0
+    for pts in _pinned_point_sets(random.Random(53), 1500):
+        volume = hull_volume(pts)
+        simplices = triangulate_points(pts)
+        flat += not simplices or len(simplices[0]) <= len(pts[0])
+        nonzero += volume != 0
+        digest.update(repr((volume, simplices)).encode() + b"\n")
+    assert flat >= 400 and nonzero >= 900, (flat, nonzero)
+    assert digest.hexdigest() == PINNED_HULL_DIGEST

@@ -14,8 +14,7 @@ from coconvex.fitting import fit_homogeneous_pair
 from coconvex.jsonio import region_to_json
 from coconvex.linalg import det, dot
 from coconvex.localalg import monomial_ideal
-from coconvex.polytopes import (hull_vertices, polytope_volume,
-                                triangulate_points)
+from coconvex.polytopes import hull_volume, triangulate_points
 from coconvex.radicals import compare_root_sum
 from coconvex.randgen import InstanceSpec
 from coconvex.regions import (_newton_region, cone_region, covol, minkowski_sum,
@@ -23,7 +22,7 @@ from coconvex.regions import (_newton_region, cone_region, covol, minkowski_sum,
 from coconvex.semigroups import lattice_semigroup, semigroup_ideal
 from coconvex.suites import suite_af_covol
 
-from test_polytopes import shoelace, vertices_from_halfspaces
+from test_polytopes import reference_hull, shoelace, vertices_from_halfspaces
 
 O2 = orthant(2)
 O3 = orthant(3)
@@ -52,10 +51,10 @@ def covol_at(region, t):
     origin = tuple(Fraction(0) for _ in range(n))
     cone_pts = [origin] + [tuple(t * Fraction(x, dot(ell, r)) for x in r)
                            for r in cone.rays]
-    vol_cone = polytope_volume(hull_vertices(cone_pts))
+    vol_cone = hull_volume(cone_pts)
     cap = (tuple(-x for x in ell), -t)
     verts = vertices_from_halfspaces(region.facets + (cap,), n)
-    vol_region = polytope_volume(hull_vertices(verts))
+    vol_region = hull_volume(verts)
     return vol_cone - vol_region
 
 
@@ -281,7 +280,7 @@ def test_cone_mismatch_rejected():
 def hull_diagram(region):
     """Reference diagram: the hull vertices of the generators tight on each
     bounded facet, in facet order."""
-    return [hull_vertices([g for g in region.generators if dot(u, g) == c]).vertices
+    return [reference_hull([g for g in region.generators if dot(u, g) == c]).vertices
             for u, c in region.facets if is_positive_on_cone(u, region.cone)]
 
 

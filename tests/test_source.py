@@ -36,7 +36,7 @@ def test_traced_targets_resolve():
 
 
 # Caches that predate the rule that a new cache starts bounded.
-LEGACY_UNBOUNDED = {"_cosets", "hilbert_basis"}
+LEGACY_UNBOUNDED = {"hilbert_basis"}
 
 
 def _package_caches():
