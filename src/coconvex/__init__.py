@@ -13,17 +13,16 @@ from .errors import (CoconvexError, ConeMismatch, InputFormatError,
                      NotFullDimensional, NotPrimary, NotPrimaryWithinCap,
                      NotStronglyConvex, SingularSystem, WrongArity,
                      ZeroPolynomial)
-from .localalg import (BernsteinKushnirenkoReport, LechChain,
-                       MonomialIdealLocal, MultiplicityReport, Poly,
-                       PolyLocalIdeal, TermOrder, bk_report, colength,
+from .localalg import (LechChain, MonomialIdealLocal, MultiplicityReport,
+                       Poly, PolyLocalIdeal, TermOrder, colength,
                        hilbert_samuel, initial_semigroup_ideal, lech_chain,
                        mixed_multiplicity, monomial, monomial_ideal,
                        mprimary_exponent, multiplicity, multiplicity_report,
                        poly_local_ideal, product_ideal, standard_order,
                        term_order, truncated_echelon, valuation)
 from .polytopes import hull_vertices, polytope_volume
-from .regions import (NewtonRegion, cone_region, covol, minkowski_sum,
-                      mixed_covol, newton_diagram, newton_region)
+from .regions import (NewtonRegion, covol, minkowski_sum, mixed_covol,
+                      newton_diagram, newton_region)
 from .semigroups import (LatticeSemigroup, SemigroupIdealSet,
                          complement_count, hilbert_basis, ideal_power,
                          lattice_semigroup, semigroup_ideal, staircase_region,

@@ -24,7 +24,7 @@ from .errors import CoconvexError, InputFormatError
 from .jsonio import (any_ideal_from_json, frac_str, monomial_ideal_from_json,
                      poly_ideal_from_json, region_from_json,
                      semigroup_ideal_to_json, region_to_json)
-from .localalg import (MonomialIdealLocal, bk_report, colength, hilbert_samuel,
+from .localalg import (MonomialIdealLocal, colength, hilbert_samuel,
                        initial_semigroup_ideal, lech_chain, mixed_multiplicity,
                        multiplicity, multiplicity_report)
 from .randgen import InstanceSpec
@@ -173,11 +173,14 @@ def _lech(args) -> dict:
 
 
 def _bk(args) -> dict:
-    report = bk_report(_ideal_list(args))
+    ideals = _ideal_list(args)
+    value, n = mixed_multiplicity(ideals), ideals[0].n
     return {
-        "intersection_multiplicity": report.intersection_multiplicity,
-        "dimension": report.dimension,
-        "statement": report.statement,
+        "intersection_multiplicity": value,
+        "dimension": n,
+        "statement": f"Generic members f_1, ..., f_{n} of the {n} given "
+                     f"monomial ideals vanish simultaneously at the origin "
+                     f"with intersection multiplicity {value}.",
     }
 
 

@@ -76,7 +76,6 @@ def extreme_rays(constraints, dim: int):
             rays = [(v, m) for v, m, _ in pos] + zero
             continue
         new = []
-        new_seen = set()
         for pvec, pmask, pd in pos:
             for nvec, nmask, nd in neg:
                 common = pmask & nmask
@@ -90,9 +89,6 @@ def extreme_rays(constraints, dim: int):
                 if not adjacent:
                     continue
                 combo = primitive(tuple(pd * nv - nd * pv for pv, nv in zip(pvec, nvec)))
-                if combo in new_seen:
-                    continue
-                new_seen.add(combo)
                 # A positive combination of two rays that are >= 0 on every
                 # earlier constraint is tight exactly where both are.
                 new.append((combo, common | 1 << idx))

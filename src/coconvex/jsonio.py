@@ -72,12 +72,10 @@ def _parse_dim(value) -> int:
     return value
 
 
-def _cone_from(data, dim_hint=None):
+def _cone_from(data, dim: int):
     rays = data.get("cone_rays")
     if rays is None:
-        if dim_hint is None:
-            raise InputFormatError("missing cone_rays and no dimension given")
-        return orthant(dim_hint)
+        return orthant(dim)
     return dual_description(_parse_matrix(rays, "cone_rays", integral=True))
 
 
@@ -96,7 +94,7 @@ def region_from_json(data: dict) -> NewtonRegion:
         if key not in data:
             raise InputFormatError(f"region is missing {key!r}")
     gens = _parse_matrix(data["generators"], "generators")
-    cone = _cone_from(data, dim_hint=len(gens[0]))
+    cone = _cone_from(data, len(gens[0]))
     ell = _parse_vector(data["ell"], "ell")
     return newton_region(cone, gens, ell)
 
@@ -117,7 +115,7 @@ def monomial_ideal_from_json(data: dict) -> MonomialIdealLocal:
         n = _parse_dim(data["dim"])
         if any(len(g) != n for g in gens):
             raise InputFormatError(f"generators must have dim = {n} entries")
-    cone = _cone_from(data, dim_hint=len(gens[0]))
+    cone = _cone_from(data, len(gens[0]))
     return monomial_ideal(gens, cone=cone)
 
 

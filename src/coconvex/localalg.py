@@ -428,11 +428,6 @@ def _product_map(a: PolyLocalIdeal, k: int):
     return out
 
 
-def _power_products(a: PolyLocalIdeal, k: int):
-    """Products of k generators, one per multiset."""
-    return tuple(_product_map(a, k).values())
-
-
 @functools.lru_cache(maxsize=32)
 def _initial_pivots(a: PolyLocalIdeal, k: int):
     """(pivot set, completeness level D0) for in(a^k).  The monomial table
@@ -441,7 +436,7 @@ def _initial_pivots(a: PolyLocalIdeal, k: int):
     r0 = max(a.order.ell)
     d0 = k * a.m0 * r0
     _monomial_table(a.order).width(d0)
-    pivots = truncated_echelon(_power_products(a, k), a.order, d0)
+    pivots = truncated_echelon(_product_map(a, k).values(), a.order, d0)
     return pivots, d0
 
 
@@ -457,14 +452,12 @@ def _initial_points(a: PolyLocalIdeal, k: int) -> frozenset:
     return pivots.union(table.exps[table.width(d0):table.width(d0 + 1)])
 
 
-def initial_semigroup_ideal(a, k: int = 1) -> SemigroupIdealSet:
+def initial_semigroup_ideal(a: PolyLocalIdeal, k: int) -> SemigroupIdealSet:
     """Staircase of in(a^k), pruned from `_initial_points`.  The table's
     exponents are orthant points by construction, so go to the prune as
     they are."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    if isinstance(a, MonomialIdealLocal):
-        return ideal_power(a.staircase, k)
     cone = orthant(a.n)
     return SemigroupIdealSet(lattice_semigroup(cone, a.order.ell),
                              _prune_to_antichain(cone, _initial_points(a, k)))
@@ -525,10 +518,9 @@ class MultiplicityReport:
     in(a^j) in(a^m) lies in in(a^(j+m)), the monomial Brunn-Minkowski
     inequality makes e(in(a^k))^(1/n) subadditive in k.  e_fit is the exact
     value once the Hilbert-Samuel fit stabilizes (None otherwise).
-    Stabilization includes far-point confirmation inside the fit_depth
-    budget, so in three or more variables the default budget usually
-    reports only the certified bounds; raise fit_depth to pay for deeper
-    echelons.  The Lech chain gets e(a) more cheaply from a reduction
+    Stabilization includes far-point confirmation inside the fit's depth
+    budget, so in three or more variables it usually reports only the
+    certified bounds.  The Lech chain gets e(a) more cheaply from a reduction
     (`_reduction_multiplicity`) and uses this fit only as the fallback.
     """
 
@@ -560,23 +552,20 @@ def _u_values(a: PolyLocalIdeal, kmax: int):
         yield u
 
 
-def _fitted_multiplicity(a: PolyLocalIdeal, fit_depth: int = None):
+def _fitted_multiplicity(a: PolyLocalIdeal):
     """n! times the stabilised leading coefficient of H(k) = colength(a^k),
-    or None when the fit does not stabilise within `fit_depth` powers
-    (by default 24 in up to two variables and 10 beyond)."""
+    or None when the fit does not stabilise within 24 powers in up to two
+    variables and 10 beyond."""
     n = a.n
-    if fit_depth is None:
-        fit_depth = 24 if n <= 2 else 10
     fit = stabilized_leading(lambda k: colength_of_power(a, k), n,
-                             max_k=fit_depth)
+                             max_k=24 if n <= 2 else 10)
     return math.factorial(n) * fit[0] if fit else None
 
 
-def multiplicity_report(a: PolyLocalIdeal, kmax: int,
-                        fit_depth: int = None) -> MultiplicityReport:
+def multiplicity_report(a: PolyLocalIdeal, kmax: int) -> MultiplicityReport:
     u_values = tuple(_u_values(a, kmax))
     hs = hilbert_samuel(a, kmax)
-    e_fit = _fitted_multiplicity(a, fit_depth)
+    e_fit = _fitted_multiplicity(a)
     return MultiplicityReport(u_values=u_values, hilbert_values=tuple(hs),
                               e_upper=min(u_values), e_fit=e_fit)
 
@@ -588,28 +577,6 @@ def mixed_multiplicity(ideals) -> int:
     n = ideals[0].n
     return _integral(math.factorial(n) * mixed_covol(regions),
                      "mixed multiplicity")
-
-
-@dataclass(frozen=True)
-class BernsteinKushnirenkoReport:
-    intersection_multiplicity: int
-    dimension: int
-    statement: str
-
-
-def bk_report(ideals) -> BernsteinKushnirenkoReport:
-    """Intersection count at the origin for generic members of the ideals.
-
-    Pure reporting on top of the mixed multiplicity; no system is solved.
-    """
-    ideals = list(ideals)
-    value = mixed_multiplicity(ideals)
-    n = ideals[0].n
-    statement = (f"Generic members f_1, ..., f_{n} of the {n} given monomial "
-                 f"ideals vanish simultaneously at the origin with "
-                 f"intersection multiplicity {value}.")
-    return BernsteinKushnirenkoReport(intersection_multiplicity=value,
-                                      dimension=n, statement=statement)
 
 
 # The reduction candidate for t has h_i = sum_j (i + 2 + t)^j g_j for
@@ -656,7 +623,7 @@ def _reduction_multiplicity(a: PolyLocalIdeal):
         except NotPrimaryWithinCap:
             continue
         for r in range(1, _REDUCTION_DEPTH + 1):
-            power = PolyLocalIdeal(generators=_power_products(a, r),
+            power = PolyLocalIdeal(generators=tuple(_product_map(a, r).values()),
                                    order=a.order, m0=r * a.m0)
             if colength(product_ideal(j, power)) == \
                     colength_of_power(a, r + 1):

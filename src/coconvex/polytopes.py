@@ -201,7 +201,11 @@ def triangulate_points(points):
     (`hull_vertices`) and pulled over the facet incidences, and each
     simplex is mapped back point by point.  A single point gives none.
     """
-    cols, backmap = _project(points)
+    return _pulled(*_project(points))
+
+
+def _pulled(cols, backmap):
+    """`triangulate_points` from the projection `_project` returns."""
     if not cols:
         return []
     halfspaces, vertices = hull_vertices(sorted(backmap))
@@ -212,10 +216,10 @@ def triangulate_points(points):
 
 def polytope_volume(points) -> Fraction:
     """Exact volume of conv(points): |det| summed over `triangulate_points`
-    and divided by d!; a flat hull measures 0."""
-    simplices = triangulate_points(points)
-    # The simplices of a hull of affine dimension k < d have k + 1 <= d points.
-    if not simplices or len(simplices[0]) <= len(simplices[0][0]):
+    and divided by d!; a flat set, short of d pivot columns, measures 0."""
+    cols, backmap = _project(points)
+    if len(cols) < len(next(iter(backmap.values()))):
         return Fraction(0)
-    total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]])) for s in simplices)
-    return Fraction(total) / math.factorial(len(simplices[0]) - 1)
+    total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]]))
+                for s in _pulled(cols, backmap))
+    return Fraction(total) / math.factorial(len(cols))

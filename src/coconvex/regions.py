@@ -130,11 +130,6 @@ def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> NewtonRegion:
     return newton_region(r1.cone, sums, r1.ell)
 
 
-def cone_region(cone: RationalCone, ell) -> NewtonRegion:
-    """The region equal to the whole cone (covolume zero, Minkowski unit)."""
-    return newton_region(cone, [tuple(0 for _ in range(cone.dim))], ell)
-
-
 def _facet_incidences(region: NewtonRegion):
     """Generator index sets of the facets and of the bounded facets."""
     tight = tight_sets(region.facets, region.generators)

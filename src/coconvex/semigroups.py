@@ -27,18 +27,20 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, is_positive_on_cone
 from .errors import ConeMismatch, InvariantViolation, NotCobounded, NotPrimary
-from .linalg import dot, integer_dual_basis, primitive, vec_sub
+from .linalg import det, dot, integer_dual_basis, primitive, vec_sub
 from .polytopes import triangulate_points
 from .regions import NewtonRegion, newton_region
 
 NEVER_DOMINATED = ("staircase complement is infinite: "
                    "some ray of the cone is never dominated")
+MAX_COSET_CANDIDATES = 2 ** 16  # the most points `_coset_complement` lists
 
 
 @dataclass(frozen=True)
@@ -285,7 +287,7 @@ def _simplicial_pieces(cone: RationalCone) -> list:
             for simplex in triangulate_points(section)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def hilbert_basis(cone: RationalCone) -> tuple:
     """Minimal generating set of cone & Z^n (Gordan enumeration).
 
@@ -345,7 +347,8 @@ def _coset_complement(ideal: SemigroupIdealSet) -> tuple:
     none.  In a simplicial piece on rays r_j, x = b + sum mu_j r_j over its
     coset point b (see `_cosets`) lies in c_j r_j + S once mu_j >= c_j, so
     the complement is among the points with every mu_j < c_j.  Those that
-    no generator lies below, compared by facet values, are kept.
+    no generator lies below, compared by facet values, are kept.  A piece
+    holds |det R| * prod c_j of them: past the cap, ValueError at once.
     """
     sg = ideal.semigroup
     cone = sg.cone
@@ -357,8 +360,14 @@ def _coset_complement(ideal: SemigroupIdealSet) -> tuple:
                 least[r] = c
     if len(least) != len(cone.rays):
         raise NotPrimary(NEVER_DOMINATED)
+    pieces = _simplicial_pieces(cone)
+    count = sum(abs(det(rays)) * math.prod(least[r] for r in rays)
+                for rays in pieces)
+    if count > MAX_COSET_CANDIDATES:
+        raise ValueError(f"the complement has {count} candidate points, "
+                         f"more than the cap of {MAX_COSET_CANDIDATES}")
     values = {}
-    for rays in _simplicial_pieces(cone):
+    for rays in pieces:
         for _, b in _cosets(rays)[2]:
             for mu in itertools.product(*(range(least[r]) for r in rays)):
                 p = tuple(x + dot(mu, column) for x, column in zip(b, zip(*rays)))

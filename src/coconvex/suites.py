@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WrongArity
@@ -62,8 +62,7 @@ class VerificationReport:
 
 def _draw_ideals(spec: InstanceSpec, seed: int, how_many: int):
     rng = XorShift64Star(seed)
-    sub = replace(spec, seed=seed)
-    return [random_monomial_ideal(sub, rng) for _ in range(how_many)]
+    return [random_monomial_ideal(spec, rng) for _ in range(how_many)]
 
 
 def _gens(ideal):

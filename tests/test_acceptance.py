@@ -20,8 +20,7 @@ from coconvex.localalg import (colength, initial_semigroup_ideal, lech_chain,
                                poly_local_ideal)
 from coconvex.radicals import compare_root_sum
 from coconvex.randgen import InstanceSpec, XorShift64Star, random_monomial_ideal
-from coconvex.regions import (cone_region, covol, minkowski_sum, mixed_covol,
-                              newton_region)
+from coconvex.regions import covol, minkowski_sum, mixed_covol, newton_region
 from coconvex.semigroups import (complement_count, ideal_power,
                                  lattice_semigroup, semigroup_ideal,
                                  staircase_region)
@@ -167,7 +166,7 @@ def test_criterion_6_polynomiality():
                                                exponent_bound=5))
         ra = staircase_region(a.staircase)
         rb = staircase_region(b.staircase)
-        unit = cone_region(ra.cone, ra.ell)
+        unit = newton_region(ra.cone, [(0, 0)], ra.ell)
         covol_grid, mult_grid = {}, {}
         sg = a.staircase.semigroup
         origin = semigroup_ideal(sg, [(0, 0)])

@@ -175,7 +175,10 @@ def test_mixed_and_bk(tmp_path, capsys):
     assert json.loads(out)["mixed_multiplicity"] == 2
     code, out, _ = run(capsys, ["bk", "--input", path])
     assert code == 0
-    assert json.loads(out)["intersection_multiplicity"] == 2
+    payload = json.loads(out)
+    assert payload["intersection_multiplicity"] == 2
+    assert payload["dimension"] == 2
+    assert "origin" in payload["statement"]
 
 
 def test_integrality_guard_exit_2(tmp_path, capsys, monkeypatch):
@@ -228,6 +231,23 @@ def test_hilbert_samuel_non_simplicial_cone(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["hilbert-samuel", "--input", path, "--kmax", "6"])
     assert code == 0, err
     assert json.loads(out)["H"] == [9, 42, 115, 244, 445, 734]
+
+
+def test_coset_candidate_cap_exit_2(tmp_path, capsys, monkeypatch):
+    """On the 4-ray cone with each generator 60 times its ray, the two
+    unimodular pieces hold 2 * 60^3 = 432,000 candidates, past the cap; it
+    fires before any coset is listed."""
+    def no_cosets(rays):
+        raise AssertionError("cosets listed before the cap")
+    monkeypatch.setattr(semigroups, "_cosets", no_cosets)
+    rays = [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]]
+    path = write(tmp_path, "wide.json", {
+        "cone_rays": rays, "generators": [[60 * x for x in r] for r in rays]})
+    code, out, err = run(capsys, ["hilbert-samuel", "--input", path, "--kmax", "1"])
+    assert (code, out) == (2, "")
+    assert ("error: the complement has 432000 candidate points, more than "
+            "the cap of 65536") in err
+    assert "Traceback" not in err
 
 
 def test_hilbert_samuel_not_primary_exit_2(tmp_path, capsys):

@@ -239,6 +239,31 @@ def test_dual_description_matches_brute_force():
     assert min(seen.values()) >= 20, seen
 
 
+def test_extreme_rays_lists_each_ray_once():
+    """On degenerate systems (dims 2-5, entries in -2..2, with repeated,
+    scaled and summed constraints) the rays come out as the brute-force
+    enumeration, compared as lists: each new ray cuts a distinct 2-face,
+    so no ray may appear twice."""
+    rng = random.Random(34)
+    degenerate = 0
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        cons = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(n, n + 3))]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(cons), rng.choice(cons)
+            cons.append(rng.choice([a, tuple(2 * x for x in a),
+                                    tuple(x + y for x, y in zip(a, b))]))
+        cons = [c for c in cons if any(c)]
+        if not cons or reference_rank(cons) < n:
+            continue
+        rays = extreme_rays(cons, n)
+        assert rays == sorted(_brute_force_facets(cons, n)), cons
+        degenerate += any(sum(dot(a, r) == 0 for a in set(map(primitive, cons)))
+                          >= n for r in rays)
+    assert degenerate >= 20, degenerate
+
+
 def test_extreme_rays_rejects_nonspanning():
     with pytest.raises(ValueError):
         extreme_rays([(1, 0, 0)], 3)

@@ -663,6 +663,29 @@ def _pinned_point_sets(rng, count):
         yield pts
 
 
+def test_flat_volume_builds_no_hull(monkeypatch):
+    """From d = 3 on, a flat point set measures 0 from its pivot count,
+    before any hull is built; a full-dimensional one is hulled once."""
+    calls = []
+    real = polytopes.homogenized_hull
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytopes, "homogenized_hull", counted)
+    coplanar = [(x, y, 2 * x - y + 1) for x in range(6) for y in range(5)]
+    assert hull_volume(coplanar) == polytopes.polytope_volume(coplanar) == 0
+    flat = 0
+    for pts in _pinned_point_sets(random.Random(54), 300):
+        if len(pts[0]) > 2 and rank([vec_sub(p, pts[0]) for p in pts]) < len(pts[0]):
+            assert hull_volume(pts) == 0, pts
+            flat += 1
+    assert flat >= 40 and calls == [], flat
+    cube = list(itertools.product((0, 1), repeat=3))
+    assert hull_volume(cube) == 1 and len(calls) == 1
+
+
 PINNED_HULL_DIGEST = "4062a8a46e8e763bce11c1d208e6d613d26c50e8c0a390ab54eb8637248fbcb1"
 
 

@@ -17,8 +17,8 @@ from coconvex.localalg import monomial_ideal
 from coconvex.polytopes import hull_volume, triangulate_points
 from coconvex.radicals import compare_root_sum
 from coconvex.randgen import InstanceSpec
-from coconvex.regions import (_newton_region, cone_region, covol, minkowski_sum,
-                              mixed_covol, newton_diagram, newton_region)
+from coconvex.regions import (_newton_region, covol, minkowski_sum, mixed_covol,
+                              newton_diagram, newton_region)
 from coconvex.semigroups import lattice_semigroup, semigroup_ideal
 from coconvex.suites import suite_af_covol
 
@@ -91,7 +91,7 @@ def random_cone_region(rng, cone, ell, bound=4, extra=2, den=1):
 
 
 def test_region_of_origin_is_cone():
-    region = cone_region(O2, ELL2)
+    region = newton_region(O2, [(0, 0)], ELL2)
     assert covol(region) == 0
     assert region.threshold == 0
 
@@ -242,7 +242,7 @@ def test_covol_matches_hull_per_facet_reference():
 
 def test_minkowski_identity_element():
     region = region2([(1, 0), (0, 1)])
-    unit = cone_region(O2, ELL2)
+    unit = newton_region(O2, [(0, 0)], ELL2)
     assert minkowski_sum(region, unit).facets == region.facets
 
 
@@ -287,7 +287,7 @@ def hull_diagram(region):
 def test_newton_diagram_cases():
     assert newton_diagram(region2([(1, 0), (0, 1)])) == \
         [((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))]
-    assert newton_diagram(cone_region(O2, ELL2)) == []
+    assert newton_diagram(newton_region(O2, [(0, 0)], ELL2)) == []
     faces = newton_diagram(region2([(3, 0), (1, 1), (0, 2)]))
     assert sorted(faces) == [
         ((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))),
@@ -413,7 +413,7 @@ def test_polynomiality_grid_fit():
         n = rng.choice([2, 3])
         g1 = random_region(rng, n, 4, 2)
         g2 = random_region(rng, n, 4, 2)
-        unit = cone_region(g1.cone, g1.ell)
+        unit = newton_region(g1.cone, [(0,) * n], g1.ell)
         values = {}
         for l1 in range(4):
             for l2 in range(4):

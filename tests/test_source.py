@@ -35,10 +35,6 @@ def test_traced_targets_resolve():
     assert missing == []
 
 
-# Caches that predate the rule that a new cache starts bounded.
-LEGACY_UNBOUNDED = {"hilbert_basis"}
-
-
 def _package_caches():
     """(name, cache) for every module-level cache in the package."""
     found = []
@@ -59,9 +55,9 @@ def test_package_caches_are_listed():
 
 
 def test_new_caches_are_bounded():
-    """A cache outside the legacy list must hold a finite number of entries."""
+    """Every cache must hold a finite number of entries."""
     unbounded = [name for name, cache in _package_caches()
-                 if name not in LEGACY_UNBOUNDED and cache.cache_info().maxsize is None]
+                 if cache.cache_info().maxsize is None]
     assert unbounded == []
 
 
@@ -113,7 +109,6 @@ UNREACHED_BY_DESIGN = {
     "valuation": "imported by bench/test_bench.py",
     "SingularSystem": "raised only by fit_polynomial",
     "ZeroPolynomial": "raised only by valuation",
-    "cone_region": "imported by tests/test_acceptance.py",
     "SemigroupIdealSet.contains": "used by tests/test_acceptance.py",
 }
 
@@ -267,11 +262,7 @@ def test_every_definition_is_reachable():
 
 # Defaulted parameters that no call in src/ or bench/ passes, each kept
 # for a reason.
-DEFAULTS_LEFT_TO_TESTS = {
-    "multiplicity_report.fit_depth": "tests need it: the weighted-order test "
-                                     "ideal takes 0.04 s at fit_depth=6 and "
-                                     "18 s at the default",
-}
+DEFAULTS_LEFT_TO_TESTS = {}
 
 
 def test_every_defaulted_parameter_is_passed():
