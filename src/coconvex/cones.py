@@ -1,9 +1,11 @@
 """Strongly convex rational polyhedral cones with dual ray/facet descriptions.
 
 The workhorse is :func:`extreme_rays`, an incremental double-description
-pass in integer arithmetic with the combinatorial adjacency test, seeded
-with the integer dual basis of the first linearly independent constraints
-(`linalg.integer_dual_basis`).  It converts between the two descriptions
+pass in integer arithmetic with the combinatorial adjacency test, started
+from a dual basis of dim independent constraints: the integer dual basis
+of the first ones (`linalg.integer_dual_basis`), or one the caller writes
+down in closed form and passes as its seed, as `polytopes` does for a
+region over a simplicial cone.  It converts between the two descriptions
 of a pointed cone in either direction, since facets of a cone are the
 extreme rays of its dual.
 `dual_description` runs it on the rays projected onto the pivot
@@ -37,13 +39,21 @@ class RationalCone:
         return all(dot(f, point) >= 0 for f in self.facets)
 
 
-def extreme_rays(constraints, dim: int):
+def extreme_rays(constraints, dim: int, seed=None):
     """Extreme rays of ``{y : a.y >= 0 for a in constraints}``.
 
     Requires the constraint vectors to span R^dim (so the cone is pointed;
     ValueError otherwise) and returns sorted primitive integer generators.
     Constraints are processed one at a time; new rays come from adjacent
     positive/negative pairs, with adjacency decided by zero-set inclusion.
+
+    The pass starts from a dual basis of dim independent constraints.
+    Without `seed` they are the first independent ones, and
+    `linalg.integer_dual_basis` gives their duals.  A caller that knows the
+    duals of the first dim constraints (zero and repeated ones dropped)
+    passes them as `seed`: dim vectors, the j-th tight on each of those
+    constraints but the j-th and positive on it.  InvariantViolation when
+    the seed is not such a basis.
     """
     cons = []
     seen = set()
@@ -52,9 +62,17 @@ def extreme_rays(constraints, dim: int):
         if any(x != 0 for x in a) and a not in seen:
             seen.add(a)
             cons.append(a)
-    base, _, duals = integer_dual_basis(cons, dim)
-    order = base + [i for i in range(len(cons)) if i not in base]
-    cons = [cons[i] for i in order]
+    if seed is None:
+        base, _, duals = integer_dual_basis(cons, dim)
+        cons = [cons[i] for i in base] + [a for i, a in enumerate(cons) if i not in base]
+    else:
+        duals = seed
+        if (len(duals) != dim or len(cons) < dim
+                or any(len(y) != dim for y in duals)
+                or any(dot(a, y) <= 0 if i == j else dot(a, y)
+                       for i, a in enumerate(cons[:dim]) for j, y in enumerate(duals))):
+            raise InvariantViolation("the seed is not a dual basis of the "
+                                     "first constraints")
 
     # The dual basis y_j of the first dim constraints: y_j is tight on
     # every basis constraint except the j-th, where it is positive.

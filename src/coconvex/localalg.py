@@ -400,7 +400,9 @@ def mprimary_exponent(gens, order: TermOrder, cap: int = 24) -> int:
 
 
 def poly_local_ideal(gens, order: TermOrder = None, cap: int = 24) -> PolyLocalIdeal:
-    gens = tuple(gens)
+    """The ideal of the generators, a repeated one kept once (each copy
+    would multiply the products of a^k), with its m-primary exponent."""
+    gens = tuple(dict.fromkeys(gens))
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].n
@@ -412,11 +414,22 @@ def poly_local_ideal(gens, order: TermOrder = None, cap: int = 24) -> PolyLocalI
     return PolyLocalIdeal(generators=gens, order=order, m0=m0)
 
 
+# The most products of generators formed for one power: a^k with m
+# generators has C(m + k - 1, k) of them.  Plane `multiplicity` forms up
+# to a^12, so nine distinct generators (125,970 products) still pass.
+_PRODUCTS = 2 ** 17
+
+
 # One `multiplicity --kmax 24` call makes 24 entries in each of the two
 # caches below.
 @functools.lru_cache(maxsize=32)
 def _product_map(a: PolyLocalIdeal, k: int):
-    """Multiset of generator indices -> product of the integer generators."""
+    """Multiset of generator indices -> product of the integer generators;
+    a ValueError past `_PRODUCTS` multisets, before any product is formed."""
+    count = math.comb(len(a.generators) + k - 1, k)
+    if count > _PRODUCTS:
+        raise ValueError(f"a^{k} has {count} products of generators, more than "
+                         f"the cap of {_PRODUCTS}")
     if k == 1:
         return {(i,): _clear_denominators(g)
                 for i, g in enumerate(a.generators)}

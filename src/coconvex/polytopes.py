@@ -6,7 +6,9 @@ pointed cone one dimension up and runs the double-description pass from
 independent rays (every Newton region in dimension 2), whose facets and
 vertices come from Andrew's monotone chain in the coordinates that map the
 cone onto the orthant (`staircase_chain`, which also gives `localalg` its
-plane multiplicities).
+plane multiplicities).  Over a simplicial cone the pass starts from a dual
+basis written down from the cone's facets and the first point
+(`_lifted_seed`), with no elimination.
 A lower-dimensional point set gets coordinates in one way only: it is
 projected onto the pivot coordinates of its affine span
 (`linalg.pivot_columns`), where the projection is injective, hulled
@@ -15,12 +17,11 @@ incidences (`tight_sets`), with no rank computed, and faces are pulled
 over them, with no further hull.  A volume sums |det| over the simplices,
 as `regions.covol` does; a lower-dimensional polytope has volume zero.
 The area of a polygon (`hull_volume`) comes from a monotone chain too.
+Both volume functions return d! times the volume, an integer on integer
+points, and leave the one division to the caller (`regions.mixed_covol`).
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from .errors import InvariantViolation
 from .cones import extreme_rays
@@ -54,7 +55,7 @@ def hull_vertices(points):
     return halfspaces, vertices
 
 
-def homogenized_hull(points, rays, n: int):
+def homogenized_hull(points, rays, n: int, facets=()):
     """Facets and vertices of conv(points) + cone(rays) in R^n.
 
     Returns the sorted (normal, offset) pairs, meaning normal.x >= offset
@@ -65,7 +66,9 @@ def homogenized_hull(points, rays, n: int):
     the points lifted with 1; a point lifts once to a primitive integer q,
     at which a facet f is tight when f . q = 0.  Rays go first because the
     pass then tests fewer adjacent pairs; its sorted output does not depend
-    on the order.
+    on the order.  When `facets` holds the inner facet normals of a
+    simplicial cone on the n rays, the pass starts from the dual basis
+    `_lifted_seed` writes down; otherwise it eliminates for one.
 
     A point is a vertex when no lifted generator other than its own q is
     tight on every facet tight at q: those generators span the least face
@@ -76,7 +79,9 @@ def homogenized_hull(points, rays, n: int):
             and rays[0][0] * rays[1][1] != rays[0][1] * rays[1][0]):
         return _planar_hull(points, rays)
     lifted = [tuple(r) + (0,) for r in rays] + [primitive(tuple(p) + (1,)) for p in points]
-    normals = extreme_rays(lifted, n + 1)
+    seed = (_lifted_seed(rays, facets, lifted[n])
+            if facets and points and len(rays) == n else None)
+    normals = extreme_rays(lifted, n + 1, seed)
     # A zero spatial normal is the lifted cone's facet t >= 0, not a facet
     # of the polyhedron; drop it.  No lifted point lies on it.
     facets = [f for f in normals if any(f[:n])]
@@ -86,6 +91,25 @@ def homogenized_hull(points, rays, n: int):
     vertices = tuple(p for p, q, m in zip(points, lifted[len(rays):], masks[len(rays):])
                      if not any(m & ~h == 0 and g != q for g, h in zip(lifted, masks)))
     return halfspaces, vertices
+
+
+def _lifted_seed(rays, facets, q):
+    """Dual basis of the lifted rays (r_j, 0) of a simplicial cone and the
+    first lifted point q = (q_x, q_t), q_t > 0, in closed form.
+
+    With f_j the cone facet opposite r_j, the one positive on it, y_j =
+    (q_t f_j, -f_j . q_x) is tight on q and on every (r_i, 0) but the j-th,
+    and e_(n+1) is tight on the lifted rays and positive on q.
+    InvariantViolation when no facet is positive on a ray.
+    """
+    *qx, qt = q
+    seed = []
+    for r in rays:
+        f = next((f for f in facets if dot(f, r) > 0), None)
+        if f is None:
+            raise InvariantViolation(f"no cone facet is positive on the ray {r}")
+        seed.append(tuple(qt * a for a in f) + (-dot(f, qx),))
+    return seed + [(0,) * len(qx) + (1,)]
 
 
 def _planar_hull(points, rays):
@@ -148,24 +172,24 @@ def _chain(points):
     return chain
 
 
-def hull_volume(points) -> Fraction:
-    """Exact volume of conv(points) for points in R^d, zero when it is flat.
+def hull_volume(points):
+    """d! times the exact volume of conv(points) for points in R^d, zero
+    when it is flat; an integer on integer points.
 
     A segment is max - min.  A polygon takes Andrew's monotone chain, lower
-    half left to right and upper half back, and the shoelace formula over
-    both halves, with no double-description pass.  From d = 3 on the
-    volume is `polytope_volume`, which counts a flat hull as 0.
+    half left to right and upper half back, and the shoelace sum, twice the
+    area, over both halves, with no double-description pass.  From d = 3 on
+    the volume is `polytope_volume`, which counts a flat hull as 0.
     """
     pts = sorted(set(points))
     d = len(pts[0])
-    if d == 1:
-        return Fraction(pts[-1][0] - pts[0][0])
     if d > 2:
         return polytope_volume(pts)
+    if d == 1:
+        return pts[-1][0] - pts[0][0]
     chains = _chain(pts), _chain(pts[::-1])
-    twice = sum(x0 * y1 - x1 * y0 for chain in chains
-                for (x0, y0), (x1, y1) in zip(chain, chain[1:]))
-    return Fraction(twice) / 2
+    return sum(x0 * y1 - x1 * y0 for chain in chains
+               for (x0, y0), (x1, y1) in zip(chain, chain[1:]))
 
 
 def pull_simplices(face, d, tight):
@@ -214,12 +238,11 @@ def _pulled(cols, backmap):
                            tight_sets(halfspaces, vertices))]
 
 
-def polytope_volume(points) -> Fraction:
-    """Exact volume of conv(points): |det| summed over `triangulate_points`
-    and divided by d!; a flat set, short of d pivot columns, measures 0."""
+def polytope_volume(points):
+    """d! times the exact volume of conv(points): |det| summed over
+    `triangulate_points`; a flat set, short of d pivot columns, measures 0."""
     cols, backmap = _project(points)
     if len(cols) < len(next(iter(backmap.values()))):
-        return Fraction(0)
-    total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]]))
-                for s in _pulled(cols, backmap))
-    return Fraction(total) / math.factorial(len(cols))
+        return 0
+    return sum(abs(det([vec_sub(v, s[0]) for v in s[1:]]))
+               for s in _pulled(cols, backmap))

@@ -95,7 +95,7 @@ def _newton_region(cone: RationalCone, gens: tuple, ell: tuple) -> NewtonRegion:
             raise NotCobounded(f"no generator lies on the ray {r}, "
                                "so the complement of the region is unbounded")
 
-    facets, vertices = homogenized_hull(gens, cone.rays, n)
+    facets, vertices = homogenized_hull(gens, cone.rays, n, cone.facets)
     threshold = Fraction(max(dot(ell, g) for g in gens))
     return NewtonRegion(cone=cone, ell=ell, generators=vertices,
                         facets=facets, threshold=threshold)
@@ -164,6 +164,9 @@ def mixed_covol(regions) -> Fraction:
     u_k != 0, which scales volume by |u_k| / |u|.  The cone's own facets
     add nothing: every ray carries a generator of R1, so h1 vanishes on
     each of them, and a cobounded region has no other unbounded facet.
+    `hull_volume` gives each face sum as (n-1)! times its volume, an
+    integer on integer faces, so a facet adds one Fraction h1(u) mixed /
+    |u_k| and the total is divided by n! (n-1)! once.
 
     Symmetric, multilinear, and equal to the covolume on the diagonal.
     """
@@ -191,5 +194,5 @@ def mixed_covol(regions) -> Fraction:
                     * hull_volume({tuple(map(sum, zip(*points)))
                                    for points in itertools.product(*subset)})
                     for size in range(1, n) for subset in itertools.combinations(faces, size))
-        total += min(dot(u, g) for g in first.generators) * mixed / abs(u[k])
-    return total / math.factorial(n)
+        total += Fraction(min(dot(u, g) for g in first.generators) * mixed, abs(u[k]))
+    return total / (math.factorial(n) * math.factorial(n - 1))

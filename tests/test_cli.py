@@ -250,6 +250,38 @@ def test_coset_candidate_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_product_cap_exit_2(tmp_path, capsys):
+    """a^k with m generators has C(m + k - 1, k) products of generators.
+    With the 92 distinct linear forms x + c y (c < 91) and y, a^3 has
+    134,044, past the cap, which fires before any product is formed."""
+    forms = [{"terms": [{"coeff": "1", "exp": [1, 0]}, {"coeff": str(c), "exp": [0, 1]}]}
+             for c in range(1, 91)]
+    forms += [{"terms": [{"coeff": "1", "exp": [1, 0]}]},
+              {"terms": [{"coeff": "1", "exp": [0, 1]}]}]
+    many = write(tmp_path, "many.json", {"dim": 2, "generators": forms})
+    before = localalg._product_map.cache_info()
+    code, out, err = run(capsys, ["initial-ideal", "--input", many, "--k", "3"])
+    assert (code, out) == (2, "")
+    assert "error: a^3 has 134044 products of generators, more than the cap of 131072" in err
+    # the one refused call, with no lower power formed on the way
+    after = localalg._product_map.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+    assert "Traceback" not in err
+
+
+def test_repeated_generators_count_once(tmp_path, capsys):
+    """POLY_A's two generators listed 16 times each are the same ideal and
+    give the same report; the copies would form 376,992 products at a^5."""
+    outputs = []
+    for copies in (1, 16):
+        path = write(tmp_path, f"a{copies}.json",
+                     dict(POLY_A, generators=POLY_A["generators"] * copies))
+        code, out, err = run(capsys, ["multiplicity", "--input", path, "--kmax", "2"])
+        assert (code, err) == (0, ""), err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_hilbert_samuel_not_primary_exit_2(tmp_path, capsys):
     path = write(tmp_path, "bare.json", {
         "cone_rays": [[1, 0], [1, 2]], "generators": [[2, 0], [1, 1]]})

@@ -15,7 +15,7 @@ from coconvex.errors import (InvariantViolation, NotFullDimensional,
 from coconvex.cones import dual_description, extreme_rays, orthant
 from coconvex.linalg import det, dot, primitive, rank, vec_sub
 from coconvex.polytopes import (homogenized_hull, hull_vertices, hull_volume,
-                                pull_simplices, triangulate_points)
+                                polytope_volume, pull_simplices, triangulate_points)
 from coconvex.regions import newton_region
 from lp import nonnegative_combination
 from test_linalg import (reference_echelon, reference_independent_subset,
@@ -88,28 +88,33 @@ def is_extreme_by_lp(point, others):
     return nonnegative_combination(cols, target) is None
 
 
+def volume(points):
+    """The volume of conv(points): `hull_volume` gives d! times it."""
+    return Fraction(hull_volume(points), math.factorial(len(next(iter(points)))))
+
+
 def test_unit_square():
     pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert hull_volume(pts) == 1
+    assert volume(pts) == 1
     assert len(hull_vertices(pts)[1]) == 4
 
 
 def test_simplex_half():
-    assert hull_volume([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 2)
+    assert volume([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 2)
 
 
 def test_quadrilateral_matches_shoelace():
     pts = [(0, 0), (3, 0), (1, 1), (0, 2)]
     _, vertices = hull_vertices(pts)
     ordered = sort_ccw(vertices)
-    assert hull_volume(pts) == shoelace(ordered)
+    assert volume(pts) == shoelace(ordered)
     # (1,1) sits inside the hull of the other three points, so it is pruned
     assert (Fraction(1), Fraction(1)) not in vertices
 
 
 def test_hull_single_point():
     assert triangulate_points([(0, 0)]) == []
-    assert hull_volume([(0, 0)]) == 0
+    assert volume([(0, 0)]) == 0
     assert reference_hull([(0, 0)]).vertices == ((Fraction(0), Fraction(0)),)
 
 
@@ -117,7 +122,7 @@ def test_hull_collinear_segment():
     """A flat hull is triangulated in its own span, by the vertices only."""
     pts = [(2, 0), (1, 1), (0, 2)]
     assert triangulate_points(pts) == [((0, 2), (2, 0))]
-    assert hull_volume(pts) == 0
+    assert volume(pts) == 0
 
 
 def test_hull_triangle_all_extreme():
@@ -142,25 +147,25 @@ def test_halfspaces_describe_hull():
 
 
 def test_three_dim_simplex_and_cube():
-    assert hull_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == Fraction(1, 6)
+    assert volume([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == Fraction(1, 6)
     cube = list(itertools.product([0, 2], repeat=3))
-    assert hull_volume(cube) == 8
+    assert volume(cube) == 8
     assert len(hull_vertices(cube)[0]) == 6
 
 
 def test_volume_translation_invariant_and_homogeneous():
     base = [(0, 0), (3, 0), (1, 1), (0, 2)]
-    vol = hull_volume(base)
+    vol = volume(base)
     shifted = [(x + 5, y - 7) for x, y in base]
-    assert hull_volume(shifted) == vol
+    assert volume(shifted) == vol
     for lam in (Fraction(1, 2), Fraction(2), Fraction(3)):
         scaled = [(lam * x, lam * y) for x, y in base]
-        assert hull_volume(scaled) == lam ** 2 * vol
+        assert volume(scaled) == lam ** 2 * vol
     base3 = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)]
-    vol3 = hull_volume(base3)
+    vol3 = volume(base3)
     for lam in (Fraction(1, 2), Fraction(2)):
         scaled = [tuple(lam * x for x in p) for p in base3]
-        assert hull_volume(scaled) == lam ** 3 * vol3
+        assert volume(scaled) == lam ** 3 * vol3
 
 
 def test_volume_additive_under_hyperplane_split():
@@ -189,10 +194,10 @@ def test_volume_additive_under_hyperplane_split():
                 cut = (v[0] + t * (w[0] - v[0]), v[1] + t * (w[1] - v[1]))
                 left.append(cut)
                 right.append(cut)
-        vol_left = hull_volume(left) if left else 0
-        vol_right = hull_volume(right) if right else 0
+        vol_left = volume(left) if left else 0
+        vol_right = volume(right) if right else 0
         # crude split keeps non-hull interior points; hull prunes them
-        assert vol_left + vol_right == hull_volume(pts)
+        assert vol_left + vol_right == volume(pts)
 
 
 def test_volume_additive_under_plane_split_3d():
@@ -222,8 +227,8 @@ def test_volume_additive_under_plane_split_3d():
                 cut = tuple(vi + t * (wi - vi) for vi, wi in zip(v, w))
                 left.append(cut)
                 right.append(cut)
-        vol = lambda ps: hull_volume(ps) if ps else Fraction(0)
-        assert vol(left) + vol(right) == hull_volume(pts)
+        vol = lambda ps: volume(ps) if ps else Fraction(0)
+        assert vol(left) + vol(right) == volume(pts)
 
 
 def test_vertices_from_halfspaces_square():
@@ -247,14 +252,14 @@ def test_volume_against_scipy_hull():
         if rank([vec_sub(p, pts[0]) for p in pts]) < n:
             continue
         reference = scipy_spatial.ConvexHull([list(map(float, p)) for p in pts])
-        assert abs(float(hull_volume(pts)) - reference.volume) < 1e-9
+        assert abs(float(volume(pts)) - reference.volume) < 1e-9
 
 
 def test_triangulation_covers_volume():
     pts = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 3), (2, 2, 2)]
     tri = triangulate_points(pts)
     total = sum(abs(det([vec_sub(v, s[0]) for v in s[1:]])) for s in tri)
-    assert Fraction(total, 6) == hull_volume(pts) == \
+    assert Fraction(total, 6) == volume(pts) == \
         _measure(reference_triangulate(reference_hull(pts)), range(3)) / 6
 
 
@@ -435,7 +440,7 @@ def test_projection_matches_affine_chart():
     on and off the affine hull, that its halfspaces hold, and their measure
     is its triangulation's.  A full-dimensional hull has the reference
     facets, and `hull_volume`, which takes its own path in dimensions 1 and
-    2, is the reference volume, and 0 when the points are flat.  The
+    2, is d! times the reference volume, and 0 when the points are flat.  The
     simplices themselves are not unique, so they are not compared."""
     rng = random.Random(29)
     degenerate = 0
@@ -464,15 +469,15 @@ def test_projection_matches_affine_chart():
         ref_simplices = reference_triangulate(ref)
         if ref.affine_dim == n:
             assert hull_vertices(pts)[0] == ref.halfspaces, pts
-            volume = _measure(ref_simplices, range(n)) / math.factorial(n)
-            assert _measure(simplices, range(n)) / math.factorial(n) == volume, pts
+            expected = _measure(ref_simplices, range(n)) / math.factorial(n)
+            assert _measure(simplices, range(n)) / math.factorial(n) == expected, pts
         else:
             degenerate += 1
-            volume = 0
+            expected = 0
             cols = sorted(col for col, _ in reference_echelon(
                 [vec_sub(v, vertices[0]) for v in vertices]))
             assert _measure(simplices, cols) == _measure(ref_simplices, cols), pts
-        assert hull_volume(pts) == volume, pts
+        assert volume(pts) == expected, pts
     assert degenerate >= 500, degenerate
 
 
@@ -629,7 +634,7 @@ def test_planar_hulls_skip_the_double_description_pass(monkeypatch):
     class PassReached(Exception):
         pass
 
-    def no_pass(constraints, dim):
+    def no_pass(constraints, dim, seed=None):
         raise PassReached
 
     regions._newton_region.cache_clear()
@@ -663,6 +668,30 @@ def _pinned_point_sets(rng, count):
         yield pts
 
 
+def test_hull_volume_is_d_factorial_times_the_volume():
+    """`hull_volume` is d! times the volume, the |det| sum of the reference
+    triangulation, in dimensions 1 to 4, and `polytope_volume` gives the
+    same from d = 3 on.  On integer points it is an integer, and an
+    ``int`` up to d = 3, where `det` expands by cofactors."""
+    rng = random.Random(56)
+    point_sets = list(_pinned_point_sets(rng, 300))
+    point_sets += [[(rng.randint(-5, 5),) for _ in range(rng.randint(1, 4))]
+                   for _ in range(20)]
+    ints = 0
+    for pts in point_sets:
+        d = len(pts[0])
+        ref = reference_hull(pts)
+        expected = (_measure(reference_triangulate(ref), range(d))
+                    if ref.affine_dim == d else 0)
+        scaled = hull_volume(pts)
+        assert scaled == expected, pts
+        assert d < 3 or polytope_volume(pts) == scaled, pts
+        if all(type(x) is int for p in pts for x in p):
+            assert scaled == int(scaled) and (d > 3 or type(scaled) is int), pts
+            ints += 1
+    assert ints >= 150, ints
+
+
 def test_flat_volume_builds_no_hull(monkeypatch):
     """From d = 3 on, a flat point set measures 0 from its pivot count,
     before any hull is built; a full-dimensional one is hulled once."""
@@ -675,32 +704,32 @@ def test_flat_volume_builds_no_hull(monkeypatch):
 
     monkeypatch.setattr(polytopes, "homogenized_hull", counted)
     coplanar = [(x, y, 2 * x - y + 1) for x in range(6) for y in range(5)]
-    assert hull_volume(coplanar) == polytopes.polytope_volume(coplanar) == 0
+    assert volume(coplanar) == polytopes.polytope_volume(coplanar) == 0
     flat = 0
     for pts in _pinned_point_sets(random.Random(54), 300):
         if len(pts[0]) > 2 and rank([vec_sub(p, pts[0]) for p in pts]) < len(pts[0]):
-            assert hull_volume(pts) == 0, pts
+            assert volume(pts) == 0, pts
             flat += 1
     assert flat >= 40 and calls == [], flat
     cube = list(itertools.product((0, 1), repeat=3))
-    assert hull_volume(cube) == 1 and len(calls) == 1
+    assert volume(cube) == 1 and len(calls) == 1
 
 
 PINNED_HULL_DIGEST = "4062a8a46e8e763bce11c1d208e6d613d26c50e8c0a390ab54eb8637248fbcb1"
 
 
 def test_hull_volume_and_triangulation_are_pinned():
-    """`hull_volume` and `triangulate_points` on 1,500 seeded point sets
+    """`hull_volume` / d! and `triangulate_points` on 1,500 seeded point sets
     (flat ones, duplicates and ``Fraction`` coordinates included) hash to
     a fixed SHA-256, so a change of route cannot change a volume, a
     simplex or the order of the simplices."""
     digest = hashlib.sha256()
     flat = nonzero = 0
     for pts in _pinned_point_sets(random.Random(53), 1500):
-        volume = hull_volume(pts)
+        vol = volume(pts)
         simplices = triangulate_points(pts)
         flat += not simplices or len(simplices[0]) <= len(pts[0])
-        nonzero += volume != 0
-        digest.update(repr((volume, simplices)).encode() + b"\n")
+        nonzero += vol != 0
+        digest.update(repr((vol, simplices)).encode() + b"\n")
     assert flat >= 400 and nonzero >= 900, (flat, nonzero)
     assert digest.hexdigest() == PINNED_HULL_DIGEST

@@ -7,14 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from coconvex import cones as cones_module
 from coconvex import regions as regions_module
-from coconvex.cones import dual_description, is_positive_on_cone, orthant
-from coconvex.errors import ConeMismatch, NotCobounded, WrongArity
+from coconvex.cones import (RationalCone, dual_description, extreme_rays,
+                            is_positive_on_cone, orthant)
+from coconvex.errors import ConeMismatch, InvariantViolation, NotCobounded, WrongArity
 from coconvex.fitting import fit_homogeneous_pair
 from coconvex.jsonio import region_to_json
-from coconvex.linalg import det, dot
+from coconvex.linalg import det, dot, integer_dual_basis
 from coconvex.localalg import monomial_ideal
-from coconvex.polytopes import hull_volume, triangulate_points
+from coconvex.polytopes import homogenized_hull, hull_vertices, triangulate_points
 from coconvex.radicals import compare_root_sum
 from coconvex.randgen import InstanceSpec
 from coconvex.regions import (_newton_region, covol, minkowski_sum, mixed_covol,
@@ -22,7 +24,8 @@ from coconvex.regions import (_newton_region, covol, minkowski_sum, mixed_covol,
 from coconvex.semigroups import lattice_semigroup, semigroup_ideal
 from coconvex.suites import suite_af_covol
 
-from test_polytopes import reference_hull, shoelace, vertices_from_halfspaces
+from test_polytopes import (fraction_homogenized_hull, reference_hull, shoelace, volume,
+                            vertices_from_halfspaces)
 
 O2 = orthant(2)
 O3 = orthant(3)
@@ -36,6 +39,7 @@ SKEW3 = dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 3)])
 TILTED3 = dual_description([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
 FIVE_RAY = dual_description([(0, 0, 1), (2, 0, 1), (3, 2, 1), (1, 3, 1), (0, 2, 1)])
 SKEW4 = dual_description([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 2, 3)])
+OBTUSE3 = dual_description([(3, -1, 1), (-1, 3, 1), (-1, -1, 1)])
 PYRAMID4 = dual_description([(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 1),
                              (0, 0, 1, 1)])
 
@@ -51,10 +55,10 @@ def covol_at(region, t):
     origin = tuple(Fraction(0) for _ in range(n))
     cone_pts = [origin] + [tuple(t * Fraction(x, dot(ell, r)) for x in r)
                            for r in cone.rays]
-    vol_cone = hull_volume(cone_pts)
+    vol_cone = volume(cone_pts)
     cap = (tuple(-x for x in ell), -t)
     verts = vertices_from_halfspaces(region.facets + (cap,), n)
-    vol_region = hull_volume(verts)
+    vol_region = volume(verts)
     return vol_cone - vol_region
 
 
@@ -497,3 +501,91 @@ def test_integral_coordinates_stay_integers():
     assert [[type(x) for x in g] for g in half.generators] == \
         [[int, int], [Fraction, int]]
     assert region_to_json(half)["generators"] == [["0", "2"], ["3/2", "0"]]
+
+
+def _random_simplicial_cone(rng, n):
+    """The cone on n random independent integer vectors of [-3, 3]^n."""
+    while True:
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        if det(rays) != 0:
+            return dual_description(rays)
+
+
+def test_seeded_pass_matches_the_eliminated_one(monkeypatch):
+    """Over a simplicial cone the lifted pass starts from the closed-form
+    dual basis of the cone facets and the first point, and finds the
+    halfspaces and vertices of the pass seeded by elimination and of the
+    ``Fraction`` reference: on the orthants, skew, tilted and obtuse cones
+    and random simplicial cones in dims 3 and 4, with ``Fraction`` points,
+    repeated points and a first point that is no vertex (the sum of two
+    generators).  Building those regions calls no `integer_dual_basis`;
+    a bounded hull and a region over the four-ray cone still do."""
+    rng = random.Random(35)
+    fixed = [O3, SKEW3, TILTED3, OBTUSE3, orthant(4), SKEW4]
+    cones = fixed + [_random_simplicial_cone(rng, 3 + i % 2) for i in range(10)]
+    assert all(len(cone.rays) == cone.dim for cone in cones)
+    cases = []
+    for case in range(240):
+        cone = cones[case % len(cones)]
+        den = rng.choice([1, 2, 3])
+        gens = []
+        for r in cone.rays:
+            lam = Fraction(rng.randint(1, 3 * den), den)
+            gens.append(tuple(lam * x for x in r))
+        for _ in range(rng.randint(0, 4)):
+            coeffs = [Fraction(rng.randint(0, 3 * den), den) for _ in cone.rays]
+            gens.append(tuple(sum(c * r[i] for c, r in zip(coeffs, cone.rays))
+                              for i in range(cone.dim)))
+        gens = [g for g in gens if any(g)]
+        rng.shuffle(gens)
+        first = tuple(a + b for a, b in zip(gens[0], gens[-1]))
+        pts = [first] + gens + rng.sample(gens, rng.randint(1, 2))
+        cases.append((cone, pts))
+
+    real = integer_dual_basis
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cones_module, "integer_dual_basis", counted)
+    regions_module._newton_region.cache_clear()
+    non_vertex_first = 0
+    for cone, pts in cases:
+        n = cone.dim
+        seeded = homogenized_hull(pts, cone.rays, n, cone.facets)
+        assert calls == [], (cone, pts)
+        assert seeded == homogenized_hull(pts, cone.rays, n), (cone, pts)
+        assert len(calls) == 1
+        calls.clear()
+        halfspaces, vertices = fraction_homogenized_hull(sorted(set(pts)), cone.rays, n)
+        assert seeded[0] == halfspaces and set(seeded[1]) == set(vertices), pts
+        non_vertex_first += pts[0] not in seeded[1]
+        lifted = [tuple(r) + (0,) for r in cone.rays] + [tuple(p) + (1,) for p in pts]
+        assert sorted((f[:n], -f[n]) for f in extreme_rays(lifted, n + 1)
+                      if any(f[:n])) == list(halfspaces)
+        calls.clear()
+        # the sum of the facets is positive on every ray
+        region = newton_region(cone, pts, tuple(map(sum, zip(*cone.facets))))
+        assert (region.facets, set(region.generators)) == (halfspaces, set(vertices))
+        assert calls == []
+    assert non_vertex_first == len(cases)
+    hull_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert len(calls) == 1
+    newton_region(FOUR_RAY, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)], ELL3)
+    assert len(calls) == 2
+
+
+def test_seed_errors_are_invariant_violations():
+    """A cone whose facet list is positive on no ray, and a seed that is
+    not a dual basis of the first constraints, raise InvariantViolation."""
+    bogus = RationalCone(dim=3, rays=O3.rays, facets=((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(InvariantViolation, match="no cone facet is positive"):
+        homogenized_hull([(1, 0, 0), (0, 1, 0), (0, 0, 1)], bogus.rays, 3, bogus.facets)
+    cons = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    assert extreme_rays(cons, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == extreme_rays(cons, 3)
+    for seed in ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 1, 1)],
+                 [(1, 0, 0), (0, 1, 0), (0, 0, -1)]):
+        with pytest.raises(InvariantViolation, match="not a dual basis"):
+            extreme_rays(cons, 3, seed)
